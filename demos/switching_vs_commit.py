@@ -7,20 +7,15 @@ with the action the learner is least likely to have committed to. The
 committed learner is stuck near chance while the right expert earns 1.
 """
 
-import numpy as np
-
 from repeated_games import (
     EstimatorParams,
     ExpertSet,
     ExploreThenCommit,
-    SwitchingPartner,
-    SwitchingSpec,
-    UniformPartner,
+    GammaEstimateParams,
     adaptive_regret,
     check_open_ended,
     coordination_game,
-    derive_trial_seed,
-    estimate_commit_time,
+    theorem1_adversary,
 )
 
 N = 4
@@ -32,32 +27,16 @@ def learner(seed=None):
     return ExploreThenCommit(game, experts, 300, seed)
 
 
-def uniform(seed=None):
-    return UniformPartner(N, seed)
-
-
-commit = estimate_commit_time(game, learner, uniform, delta=0.05,
-                              trials=300, horizon=1500, seed=0)
-print(f"estimated commit time tau = {commit.tau}, gamma_hat = {commit.gamma_hat}")
-
-finals = []
-for t in range(300):
-    lr, ph = learner(derive_trial_seed(0, t, "l")), uniform(derive_trial_seed(0, t, "p"))
-    for _ in range(1500):
-        a, b = lr.decide(), ph.decide()
-        lr.observe(a, b)
-        ph.observe(a, b)
-    finals.append(a)
-p_e = np.bincount(finals, minlength=N) / len(finals)
-target = int(np.argmin(p_e))
-print(f"convergence profile p_e = {p_e.round(3)}, targeting action {target}")
-
-spec = SwitchingSpec(commit.tau, target, N)
-
-
-def switching(seed=None):
-    return SwitchingPartner(spec, seed)
-
+# The composite adversary measures tau and p_e from one batch of learner runs
+# against uniform play; a learner that always commits takes its switching
+# branch.
+_, info = theorem1_adversary(learner, game, experts.actions, 0.05,
+                             GammaEstimateParams(trials=300, horizon=1500, seed=0))
+assert info["branch"] == "switching"
+print(f"estimated commit time tau = {info['tau']}, gamma_hat = {info['gamma_hat']}")
+print(f"convergence profile p_e = {[round(p, 3) for p in info['p_e']]}, "
+      f"targeting action {info['target']}")
+switching = info["factory"]
 
 params = EstimatorParams(trials=400, horizon=8000, seed=2, expert_trials=50)
 reg = adaptive_regret(game, learner, switching, experts.actions, params)

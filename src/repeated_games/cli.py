@@ -49,17 +49,7 @@ def _emit(report, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(report.to_json())
     else:
-        res = report.results
-        est = report.config.get("estimation", {})
-        print("metric,estimate,ci,trials,horizon,seed")
-        print(",".join(str(x) for x in [
-            report.config.get("metric", {}).get("kind", "value"),
-            res.get("regret", res.get("mean", res.get("mean_payoff", ""))),
-            res.get("ci_half_width", ""),
-            est.get("trials", ""),
-            est.get("horizon", ""),
-            report.config.get("seed", 0),
-        ]))
+        print("\n".join(report.summary_head()))
 
 
 def _run_and_emit(args, forced_metric=None) -> int:

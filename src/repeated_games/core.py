@@ -31,6 +31,7 @@ __all__ = [
     "step",
     "rollout",
     "simulate_payoffs",
+    "commit_stats",
 ]
 
 DIST_ATOL = 1e-12
@@ -206,7 +207,6 @@ class Strategy:
 
     name = "strategy"
     deterministic = False  # True when decide() never consumes randomness
-    history_free = False   # True when observe() is a no-op (e.g. fixed action)
 
     def __init__(self, seed=None):
         self._seed = seed
@@ -306,17 +306,23 @@ def step(game: Game, pi: Strategy, phi: Strategy, h: History):
     return a, b, game._payoff_rows[a][b]
 
 
-def simulate_payoffs(game: Game, pi: Strategy, phi: Strategy, horizon: int) -> np.ndarray:
+def simulate_payoffs(
+    game: Game, pi: Strategy, phi: Strategy, horizon: int, history: History | None = None
+) -> np.ndarray:
     """Run ``horizon`` stages from the strategies' current state; payoffs only.
 
     This is the hot loop: strategies are driven through their incremental
     decide/observe interface and all bookkeeping stays in local variables.
+    When ``history`` is given, each stage's joint action is appended to it.
     """
     pay = game._payoff_rows
     rows, cols = game.rows, game.cols
     out = np.empty(horizon)
     pdec, qdec = pi.decide, phi.decide
     pobs, qobs = pi.observe, phi.observe
+    record = history is not None
+    if record:
+        arec, brec = history.alice.append, history.bob.append
     for n in range(horizon):
         a = pdec()
         if not 0 <= a < rows:
@@ -331,6 +337,9 @@ def simulate_payoffs(game: Game, pi: Strategy, phi: Strategy, horizon: int) -> n
         out[n] = pay[a][b]
         pobs(a, b)
         qobs(a, b)
+        if record:
+            arec(a)
+            brec(b)
     return out
 
 
@@ -346,33 +355,53 @@ def rollout(game: Game, pi: Strategy, phi: Strategy, horizon: int, seed=None) ->
     if seed is not None:
         pi.reseed(derive_trial_seed(seed, 0, "learner"))
         phi.reseed(derive_trial_seed(seed, 0, "partner"))
-    pay = game._payoff_rows
+    h = History()
+    payoffs = simulate_payoffs(game, pi, phi, horizon, h)
+    return Trajectory(
+        game,
+        np.array(h.alice, dtype=np.int64),
+        np.array(h.bob, dtype=np.int64),
+        payoffs,
+        seed=seed,
+    )
+
+
+def commit_stats(
+    game: Game, learner_factory, partner_factory, trials: int, horizon: int, seed: int, tag: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial last-switch stage and final learner action over fresh pairs.
+
+    Trial ``t`` plays a learner seeded ``derive_trial_seed(seed, t, f"{tag}-learner")``
+    against a partner seeded with the ``f"{tag}-partner"`` stream for
+    ``horizon`` stages, with the same action-range checks as
+    ``simulate_payoffs``. The last switch is the last stage at which the
+    learner's action differs from the previous stage's (0 if it never
+    switches); the final action is -1 when ``horizon`` is 0.
+    """
     rows, cols = game.rows, game.cols
-    alice = np.empty(horizon, dtype=np.int64)
-    bob = np.empty(horizon, dtype=np.int64)
-    payoffs = np.empty(horizon)
-    pdec, qdec = pi.decide, phi.decide
-    pobs, qobs = pi.observe, phi.observe
-    for n in range(horizon):
-        a = pdec()
-        if not 0 <= a < rows:
-            raise ContractViolation(
-                f"alice strategy {pi.name!r} emitted action {a} at stage {n}"
-            )
-        b = qdec()
-        if not 0 <= b < cols:
-            raise ContractViolation(
-                f"bob strategy {phi.name!r} emitted action {b} at stage {n}"
-            )
-        alice[n] = a
-        bob[n] = b
-        payoffs[n] = pay[a][b]
-        pobs(a, b)
-        qobs(a, b)
-    return Trajectory(game, alice, bob, payoffs, seed=seed)
-
-
-def replay_into(strategy: Strategy, history: History) -> Strategy:
-    """Feed a recorded history into a strategy and return it (replay contract)."""
-    strategy._sync(history)
-    return strategy
+    last_switch = np.zeros(trials, dtype=np.int64)
+    final_action = np.full(trials, -1, dtype=np.int64)
+    for t in range(trials):
+        learner = learner_factory(derive_trial_seed(seed, t, f"{tag}-learner"))
+        partner = partner_factory(derive_trial_seed(seed, t, f"{tag}-partner"))
+        ldec, pdec = learner.decide, partner.decide
+        lobs, pobs = learner.observe, partner.observe
+        prev, sw = -1, 0
+        for n in range(horizon):
+            a = ldec()
+            if not 0 <= a < rows:
+                raise ContractViolation(
+                    f"alice strategy {learner.name!r} emitted action {a} at stage {n}"
+                )
+            b = pdec()
+            if not 0 <= b < cols:
+                raise ContractViolation(
+                    f"bob strategy {partner.name!r} emitted action {b} at stage {n}"
+                )
+            lobs(a, b)
+            pobs(a, b)
+            if a != prev:
+                sw, prev = n, a
+        last_switch[t] = sw
+        final_action[t] = prev
+    return last_switch, final_action

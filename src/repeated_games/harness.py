@@ -225,6 +225,20 @@ class RunReport:
             indent=2,
         ) + "\n"
 
+    def summary_head(self) -> list[str]:
+        """Header and headline row of ``summary.csv``, also the CLI's csv output."""
+        res = self.results
+        est = self.config.get("estimation", {})
+        row = [
+            self.config.get("metric", {}).get("kind", "value"),
+            res.get("regret", res.get("mean", res.get("mean_payoff", ""))),
+            res.get("ci_half_width", ""),
+            est.get("trials", ""),
+            est.get("horizon", ""),
+            self.config.get("seed", 0),
+        ]
+        return ["metric,estimate,ci,trials,horizon,seed", ",".join(str(x) for x in row)]
+
 
 def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
@@ -398,23 +412,8 @@ def _persist(report: RunReport, artifacts: dict, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
-    lines = ["metric,estimate,ci,trials,horizon,seed"]
-    res = report.results
-    est = report.config.get("estimation", {})
-    lines.append(
-        ",".join(
-            str(x)
-            for x in [
-                report.config.get("metric", {}).get("kind", "value"),
-                res.get("regret", res.get("mean", res.get("mean_payoff", ""))),
-                res.get("ci_half_width", ""),
-                est.get("trials", ""),
-                est.get("horizon", ""),
-                report.config.get("seed", 0),
-            ]
-        )
-    )
-    for name, value in _csv_rows(res):
+    lines = report.summary_head()
+    for name, value in _csv_rows(report.results):
         lines.append(f"{name},{value},,,,")
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     for fname, text in artifacts.items():

@@ -23,10 +23,6 @@ __all__ = [
     "MixedLearner",
     "PeriodicSwitcher",
     "BernoulliSwitcher",
-    "fixed_expert",
-    "explore_then_commit",
-    "strategic_experts",
-    "mixed_learner",
 ]
 
 
@@ -35,7 +31,6 @@ class FixedAction(Strategy):
 
     name = "fixed"
     deterministic = True
-    history_free = True
 
     def __init__(self, action: int, n_actions: int, seed=None):
         if not 0 <= action < n_actions:
@@ -256,7 +251,6 @@ class PeriodicSwitcher(Strategy):
 
     name = "periodic_switcher"
     deterministic = True
-    history_free = True
 
     def __init__(self, n_actions: int, period: int, seed=None):
         if period < 1:
@@ -311,20 +305,3 @@ class BernoulliSwitcher(Strategy):
         self._current = self._pending
         self._pending = None
 
-
-def fixed_expert(action: int, n_actions: int, seed=None) -> FixedAction:
-    return FixedAction(action, n_actions, seed)
-
-
-def explore_then_commit(game: Game, experts: ExpertSet, T: int, seed=None) -> ExploreThenCommit:
-    return ExploreThenCommit(game, experts, T, seed)
-
-
-def strategic_experts(
-    game: Game, experts: ExpertSet, epsilon=0.2, horizon_rule=None, seed=None
-) -> StrategicExperts:
-    return StrategicExperts(game, experts, epsilon, horizon_rule, seed)
-
-
-def mixed_learner(passive: Strategy, active: Strategy, p: float, seed=None) -> MixedLearner:
-    return MixedLearner(passive, active, p, seed)

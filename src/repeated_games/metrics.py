@@ -10,10 +10,9 @@ limit value for every construction exercised by the acceptance suite.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +21,7 @@ from .core import (
     ContractViolation,
     Game,
     History,
-    Strategy,
-    Trajectory,
+    commit_stats,
     derive_trial_seed,
     simulate_payoffs,
 )
@@ -542,30 +540,29 @@ def estimate_commit_time(
     P(switch after tau) <= gamma_hat + delta.
     """
     tail = tail_window if tail_window is not None else horizon // 2
-    last_switch = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        learner = learner_factory(derive_trial_seed(seed, t, "commit-learner"))
-        phi = phi_factory(derive_trial_seed(seed, t, "commit-partner"))
-        prev = None
-        sw = 0
-        ldec, pdec = learner.decide, phi.decide
-        lobs, pobs = learner.observe, phi.observe
-        for n in range(horizon):
-            a = ldec()
-            b = pdec()
-            lobs(a, b)
-            pobs(a, b)
-            if prev is not None and a != prev:
-                sw = n
-            prev = a
-        last_switch[t] = sw
-    converged = last_switch < horizon - tail
-    gamma_hat = 1.0 - float(converged.mean())
+    last_switch, _ = commit_stats(
+        game, learner_factory, phi_factory, trials, horizon, seed, "commit"
+    )
+    converged, gamma_hat = _convergence(last_switch, horizon, tail)
     if gamma_hat + delta >= 1.0 or not converged.any():
         return CommitTimeEstimate(0, gamma_hat, True, trials, horizon)
-    q = min(1.0, max(0.0, 1.0 - delta - gamma_hat))
-    tau = int(np.quantile(last_switch[converged], q)) + 1
+    tau = _commit_tau(last_switch, converged, gamma_hat, delta)
     return CommitTimeEstimate(tau, gamma_hat, False, trials, horizon)
+
+
+def _convergence(last_switch: np.ndarray, horizon: int, tail: int):
+    """Which trials converged (last switch before the final ``tail`` stages),
+    and gamma_hat, the fraction that did not."""
+    converged = last_switch < horizon - tail
+    return converged, 1.0 - float(converged.mean())
+
+
+def _commit_tau(last_switch: np.ndarray, converged: np.ndarray, gamma_hat: float,
+                delta: float) -> int:
+    """One past the (1 - delta - gamma_hat)-quantile of the converged trials'
+    last switches; needs gamma_hat + delta < 1 and some converged trial."""
+    q = min(1.0, max(0.0, 1.0 - delta - gamma_hat))
+    return int(np.quantile(last_switch[converged], q)) + 1
 
 
 def _as_fraction(x) -> Fraction:
@@ -633,13 +630,3 @@ def bound_table(N: int, delta, gamma=None) -> BoundTable:
         theorem1_bound=margin * margin / 2,
     )
 
-
-def value_summary_csv(rows) -> str:
-    """Summary table: metric, estimate, ci, trials, horizon, seed."""
-    lines = ["metric,estimate,ci,trials,horizon,seed"]
-    for r in rows:
-        lines.append(
-            f"{r['metric']},{r['estimate']},{r.get('ci', '')},"
-            f"{r.get('trials', '')},{r.get('horizon', '')},{r.get('seed', '')}"
-        )
-    return "\n".join(lines) + "\n"

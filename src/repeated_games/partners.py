@@ -19,22 +19,18 @@ from .core import (
     Game,
     History,
     Strategy,
+    commit_stats,
     derive_trial_seed,
     point_mass,
     uniform_dist,
 )
+from .metrics import _commit_tau, _convergence
 
 __all__ = [
     "GrimTriggerSpec",
     "SwitchingSpec",
     "OracleParams",
-    "uniform_partner",
-    "grim_trigger",
-    "switching_partner",
-    "fictitious_play_partner",
-    "stationary_partner",
     "predict_deviation_horizon",
-    "predictive_exploiter",
     "theorem1_adversary",
     "UniformPartner",
     "GrimTrigger",
@@ -50,7 +46,7 @@ class _BlockInts:
 
     __slots__ = ("rng", "n", "_buf", "_i")
 
-    def __init__(self, rng, n, block=512):
+    def __init__(self, rng, n):
         self.rng = rng
         self.n = n
         self._buf = ()
@@ -71,7 +67,6 @@ class UniformPartner(Strategy):
     """Plays uniformly at random over N actions at every history."""
 
     name = "uniform"
-    history_free = True
 
     def __init__(self, n: int, seed=None):
         if n < 1:
@@ -228,7 +223,6 @@ class StationaryPartner(Strategy):
     """History-independent mixed strategy (useful as a flexible baseline)."""
 
     name = "stationary"
-    history_free = True
 
     def __init__(self, probs, seed=None):
         super().__init__(seed)
@@ -301,26 +295,6 @@ class RandomChoiceStrategy(Strategy):
         super().reseed(seed)
         for k, s in enumerate(self._strategies):
             s.reseed(derive_trial_seed(seed, k, "mixture-member"))
-
-
-def uniform_partner(n: int, seed=None) -> UniformPartner:
-    return UniformPartner(n, seed)
-
-
-def grim_trigger(spec: GrimTriggerSpec, seed=None) -> GrimTrigger:
-    return GrimTrigger(spec, seed)
-
-
-def switching_partner(spec: SwitchingSpec, seed=None) -> SwitchingPartner:
-    return SwitchingPartner(spec, seed)
-
-
-def fictitious_play_partner(game: Game, seed=None) -> FictitiousPlayPartner:
-    return FictitiousPlayPartner(game, seed)
-
-
-def stationary_partner(probs, seed=None) -> StationaryPartner:
-    return StationaryPartner(probs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +512,6 @@ class PredictiveExploiter(Strategy):
         return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.audit_log)
 
 
-def predictive_exploiter(
-    learner_factory, game: Game, delta: float, oracle: OracleParams | None = None, seed=None
-) -> PredictiveExploiter:
-    return PredictiveExploiter(learner_factory, game, delta, oracle or OracleParams(), seed)
-
-
 # ---------------------------------------------------------------------------
 # Composite adversary (combines the passive and active constructions)
 # ---------------------------------------------------------------------------
@@ -556,28 +524,6 @@ class GammaEstimateParams:
     tail_window: int | None = None  # default horizon // 2
     seed: int = 0
     oracle: OracleParams = field(default_factory=OracleParams)
-
-
-def _uniform_play_stats(learner_factory, game: Game, params: GammaEstimateParams):
-    """Per-trial last-switch stage and final action vs uniform play."""
-    last_switch = []
-    final_action = []
-    for t in range(params.trials):
-        learner = learner_factory(derive_trial_seed(params.seed, t, "gamma-learner"))
-        partner = UniformPartner(game.cols, derive_trial_seed(params.seed, t, "gamma-partner"))
-        prev = None
-        switched_at = 0
-        for n in range(params.horizon):
-            a = learner.decide()
-            b = partner.decide()
-            learner.observe(a, b)
-            partner.observe(a, b)
-            if prev is not None and a != prev:
-                switched_at = n
-            prev = a
-        last_switch.append(switched_at)
-        final_action.append(prev)
-    return np.asarray(last_switch), np.asarray(final_action)
 
 
 def theorem1_adversary(
@@ -607,24 +553,24 @@ def theorem1_adversary(
     if not 0.0 < delta < (n - 2) / n:
         raise ValueError(f"delta must be in (0, {(n - 2) / n})")
     tail = params.tail_window or params.horizon // 2
-    last_switch, final_action = _uniform_play_stats(learner_factory, game, params)
-    converged = last_switch < params.horizon - tail
-    gamma_hat = 1.0 - float(converged.mean())
+    last_switch, final_action = commit_stats(
+        game, learner_factory, lambda s: UniformPartner(game.cols, s),
+        params.trials, params.horizon, params.seed, "gamma",
+    )
+    converged, gamma_hat = _convergence(last_switch, params.horizon, tail)
     passive_bound = (n - 2) / n - gamma_hat - delta
     active_bound = gamma_hat * ((n - 2) / n - delta)
     info = {"gamma_hat": gamma_hat, "passive_bound": passive_bound, "active_bound": active_bound}
     if passive_bound >= active_bound:
         # Passive branch: switching strategy at the empirical commit time,
-        # targeted at the action the learner converges to least often.
-        if converged.any():
-            tau = int(np.quantile(last_switch[converged], min(1.0, max(0.0, 1.0 - delta - gamma_hat)))) + 1
-            counts = np.bincount(final_action[converged], minlength=n)
-        else:
-            tau, counts = 1, np.zeros(n)
+        # targeted at the action the learner converges to least often. This
+        # branch implies gamma_hat + delta < 1, so some trial converged.
+        tau = _commit_tau(last_switch, converged, gamma_hat, delta)
+        counts = np.bincount(final_action[converged], minlength=n)
         target = int(np.argmin(counts))
         spec = SwitchingSpec(tau, target, n)
         info.update({"branch": "switching", "tau": tau, "target": target,
-                     "p_e": (counts / max(1, counts.sum())).tolist(),
+                     "p_e": (counts / counts.sum()).tolist(),
                      "factory": lambda s=None: SwitchingPartner(spec, s)})
         return SwitchingPartner(spec, seed), info
     info["branch"] = "exploiter"

@@ -17,7 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import machines as M
-from .core import Game, coordination_game, derive_trial_seed, example1_game, rollout
+from .core import (
+    Game,
+    commit_stats,
+    coordination_game,
+    derive_trial_seed,
+    example1_game,
+    rollout,
+)
 from .learners import (
     ExpertSet,
     ExploreThenCommit,
@@ -27,6 +34,7 @@ from .learners import (
 )
 from .metrics import (
     EstimatorParams,
+    _history_from_prefix,
     adaptive_regret,
     bound_table,
     check_flexibility,
@@ -254,7 +262,7 @@ def suite_prop2_crosscheck(seed: int = 17) -> CriterionResult:
         # play and absorbing triggers are always present
         for e in experts:
             histories.append(
-                _commit_history(factory, derive_trial_seed(seed, e, "zoo-commit"), e, 32)
+                _history_from_prefix([e] * 32, factory, derive_trial_seed(seed, e, "zoo-commit"))
             )
         flex = check_flexibility(g, factory, experts, c=2.0, r=0.5,
                                  history_sampler=histories, params=flex_params)
@@ -274,18 +282,6 @@ def suite_prop2_crosscheck(seed: int = 17) -> CriterionResult:
         ),
     })
     return CriterionResult("prop2-crosscheck", ok, details, time.perf_counter() - t0)
-
-
-def _commit_history(phi_factory, phi_seed, action, length):
-    from .core import History
-
-    phi = phi_factory(phi_seed)
-    h = History()
-    for _ in range(length):
-        b = phi.decide()
-        phi.observe(action, b)
-        h.append(action, b)
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +304,7 @@ def suite_theorem2(seed: int = 23) -> CriterionResult:
     commit = estimate_commit_time(g, learner, unif, delta, trials=400, horizon=1500,
                                   seed=seed)
     # p_e: where the learner converges under uniform play; target the rarest
-    finals = []
-    for t in range(400):
-        lr = learner(derive_trial_seed(seed, t, "pe-learner"))
-        ph = unif(derive_trial_seed(seed, t, "pe-partner"))
-        for _ in range(1500):
-            a, b = lr.decide(), ph.decide()
-            lr.observe(a, b)
-            ph.observe(a, b)
-        finals.append(a)
+    _, finals = commit_stats(g, learner, unif, 400, 1500, seed, "pe")
     p_e = np.bincount(finals, minlength=n) / len(finals)
     target = int(np.argmin(p_e))
     spec = SwitchingSpec(commit.tau, target, n)

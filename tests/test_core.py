@@ -10,6 +10,7 @@ from repeated_games.core import (
     Game,
     History,
     Trajectory,
+    commit_stats,
     coordination_game,
     derive_trial_seed,
     example1_game,
@@ -17,7 +18,7 @@ from repeated_games.core import (
     simulate_payoffs,
     step,
 )
-from repeated_games.learners import FixedAction
+from repeated_games.learners import FixedAction, PeriodicSwitcher
 from repeated_games.partners import GrimTrigger, GrimTriggerSpec, UniformPartner
 
 
@@ -117,6 +118,44 @@ def test_rollout_is_bit_exact_reproducible():
     assert np.array_equal(t1.payoffs, t2.payoffs)
     t3 = rollout(g, UniformPartner(3, None), UniformPartner(3, None), 400, seed=100)
     assert not np.array_equal(t1.bob, t3.bob)
+
+
+def test_simulate_payoffs_appends_to_history():
+    g = coordination_game(3)
+    h = History([(2, 2)])
+    pays = simulate_payoffs(g, UniformPartner(3, 5), UniformPartner(3, 6), 50, h)
+    assert len(h) == 51 and h.pair(0) == (2, 2)
+    assert [g.payoff_at(a, b) for a, b in h.pairs()[1:]] == pays.tolist()
+    t = rollout(g, UniformPartner(3, 5), UniformPartner(3, 6), 50)
+    assert t.alice.dtype == np.int64
+    assert t.alice.tolist() == h.alice[1:] and t.bob.tolist() == h.bob[1:]
+
+
+def test_commit_stats_last_switch_and_final_action():
+    g = coordination_game(3)
+    last, final = commit_stats(g, lambda s=None: PeriodicSwitcher(3, 7, s),
+                               lambda s=None: UniformPartner(3, s), 4, 50, 0, "t")
+    # switches at stages 7, 14, ..., 49; stage 49 plays (49 // 7) % 3 = 1
+    assert last.tolist() == [49] * 4
+    assert final.tolist() == [1] * 4
+    last, final = commit_stats(g, lambda s=None: FixedAction(2, 3, s),
+                               lambda s=None: UniformPartner(3, s), 2, 10, 0, "t")
+    assert last.tolist() == [0, 0] and final.tolist() == [2, 2]
+
+
+def test_commit_stats_checks_both_players_actions():
+    g = coordination_game(3)
+
+    class Bad(UniformPartner):
+        def decide(self):
+            return 3
+
+    with pytest.raises(ContractViolation, match="alice"):
+        commit_stats(g, lambda s=None: Bad(3, s), lambda s=None: UniformPartner(3, s),
+                     1, 5, 0, "t")
+    with pytest.raises(ContractViolation, match="bob"):
+        commit_stats(g, lambda s=None: FixedAction(0, 3, s), lambda s=None: Bad(3, s),
+                     1, 5, 0, "t")
 
 
 def test_trajectory_jsonl_round_trip():

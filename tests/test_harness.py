@@ -240,3 +240,15 @@ def test_cli_exploit_writes_audit(tmp_path, capsys):
     recs = [json.loads(x) for x in audit]
     assert recs and sum(r["delta_i"] for r in recs) <= 0.05
     capsys.readouterr()
+
+
+def test_cli_regret_csv_is_summary_head(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, _cfg(metric={"kind": "adaptive_regret"}))
+    out = tmp_path / "out"
+    rc = main(["regret", "--config", str(cfg), "--out", str(out), "--format", "csv"])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    head = (out / "summary.csv").read_text().splitlines(keepends=True)[:2]
+    assert printed == "".join(head)
+    assert head[0] == "metric,estimate,ci,trials,horizon,seed\n"
+    assert head[1].startswith("adaptive_regret,")

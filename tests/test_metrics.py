@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repeated_games.core import History, coordination_game, example1_game
+from repeated_games.core import ContractViolation, History, coordination_game, example1_game
 from repeated_games.learners import ExpertSet, ExploreThenCommit, FixedAction
 from repeated_games.metrics import (
     EstimatorParams,
@@ -215,3 +215,11 @@ def test_bound_table_validation():
         bound_table(5, 0.7)  # delta >= (N-2)/N
     with pytest.raises(ValueError):
         bound_table(5, 0.0)
+
+
+def test_estimate_commit_time_rejects_out_of_range_action():
+    g = coordination_game(5)
+    with pytest.raises(ContractViolation):
+        estimate_commit_time(g, lambda s=None: FixedAction(9, 10, s),
+                             lambda s=None: UniformPartner(5, s), delta=0.1,
+                             trials=5, horizon=20)

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repeated_games.core import History, coordination_game, example1_game
-from repeated_games.learners import ExpertSet, FixedAction, StrategicExperts
+from repeated_games.core import ContractViolation, History, coordination_game, example1_game
+from repeated_games.learners import ExpertSet, ExploreThenCommit, FixedAction, StrategicExperts
+from repeated_games.metrics import estimate_commit_time
 from repeated_games.partners import (
     FictitiousPlayPartner,
+    GammaEstimateParams,
     GrimTrigger,
     GrimTriggerSpec,
     OracleParams,
@@ -18,6 +20,7 @@ from repeated_games.partners import (
     UniformPartner,
     _smallest_sigma,
     predict_deviation_horizon,
+    theorem1_adversary,
 )
 
 GRIM = GrimTriggerSpec(expected_alice_action=0, cooperate_action=0,
@@ -183,3 +186,33 @@ def test_exploiter_mirrors_committed_action_after_sigma():
     assert not rec0["capped"]
     assert ex.decide() == 1  # well past sigma_0, Alice committed to action 1
     assert seen_mirror
+
+
+def test_theorem1_adversary_switching_branch_against_etc():
+    g = coordination_game(5)
+    experts = ExpertSet.fixed_actions(5)
+
+    def learner(s=None):
+        return ExploreThenCommit(g, experts, 250, s)
+
+    params = GammaEstimateParams(trials=100, horizon=1200, seed=0)
+    strategy, info = theorem1_adversary(learner, g, experts.actions, 0.1, params)
+    assert info["branch"] == "switching"
+    assert info["gamma_hat"] == 0.0
+    assert info["tau"] == 251
+    commit = estimate_commit_time(g, learner, lambda s=None: UniformPartner(5, s), 0.1,
+                                  trials=100, horizon=1200, seed=0)
+    assert commit.tau == info["tau"]
+    assert info["p_e"] == pytest.approx([0.26, 0.18, 0.21, 0.16, 0.19], abs=1e-12)
+    assert info["target"] == 3
+    assert isinstance(strategy, SwitchingPartner)
+    built = info["factory"](7)
+    assert isinstance(built, SwitchingPartner)
+    assert built.spec == SwitchingSpec(251, 3, 5)
+
+
+def test_theorem1_adversary_rejects_out_of_range_action():
+    g = coordination_game(5)
+    with pytest.raises(ContractViolation):
+        theorem1_adversary(lambda s=None: FixedAction(9, 10, s), g, range(5), 0.1,
+                           GammaEstimateParams(trials=5, horizon=20))
