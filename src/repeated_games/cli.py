@@ -68,7 +68,10 @@ def cmd_regret(args) -> int:
     cfg = _load(args)
     kind = cfg.raw.get("metric", {}).get("kind", "adaptive_regret")
     if kind not in ("adaptive_regret", "external_regret", "open_ended_regret"):
-        kind = "adaptive_regret"
+        raise ConfigError(
+            f"regret needs metric.kind adaptive_regret, external_regret or "
+            f"open_ended_regret, not {kind!r}"
+        )
     cfg.raw.setdefault("metric", {})["kind"] = kind
     out = args.out if args.out is not None else default_out_dir()
     report = run_scenario(cfg, out, args.parallelism)

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -235,6 +236,17 @@ class Strategy:
         """Replace the random stream without touching learned state."""
         self._seed = seed
         self._rand = np.random.default_rng(seed)
+
+    def clone(self, seed) -> "Strategy":
+        """A copy of the run state that continues on a fresh random stream.
+
+        Equivalent to ``copy.deepcopy`` followed by ``reseed(seed)``, which is
+        the default. Subclasses may override it to copy only their mutable run
+        state and share the immutable parts (game, experts, rules).
+        """
+        c = copy.deepcopy(self)
+        c.reseed(seed)
+        return c
 
     def _sync(self, history: History) -> None:
         n = len(history)

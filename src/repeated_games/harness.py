@@ -228,13 +228,13 @@ class RunReport:
     def summary_head(self) -> list[str]:
         """Header and headline row of ``summary.csv``, also the CLI's csv output."""
         res = self.results
-        est = self.config.get("estimation", {})
+        est = ScenarioConfig(self.config).estimator_params()
         row = [
             self.config.get("metric", {}).get("kind", "value"),
             res.get("regret", res.get("mean", res.get("mean_payoff", ""))),
             res.get("ci_half_width", ""),
-            est.get("trials", ""),
-            est.get("horizon", ""),
+            est.trials,
+            est.horizon,
             self.config.get("seed", 0),
         ]
         return ["metric,estimate,ci,trials,horizon,seed", ",".join(str(x) for x in row)]

@@ -9,6 +9,7 @@ switchers used by the oracle tests live here as well.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,13 @@ class ExploreThenCommit(Strategy):
             best = max(means)
             self._committed = means.index(best)  # ties to lowest index
 
+    def clone(self, seed) -> "ExploreThenCommit":
+        c = copy.copy(self)
+        c._sums = list(self._sums)
+        c._counts = list(self._counts)
+        c.reseed(seed)
+        return c
+
     @property
     def committed_expert(self):
         return self._committed
@@ -203,6 +211,15 @@ class StrategicExperts(Strategy):
         self._counts[k] += 1
         self._remaining -= 1
 
+    def clone(self, seed) -> "StrategicExperts":
+        c = copy.copy(self)
+        c._sums = list(self._sums)
+        c._counts = list(self._counts)
+        c._evals = list(self._evals)
+        c.phase_ledger = list(self.phase_ledger)  # records are never mutated
+        c.reseed(seed)
+        return c
+
     def phase_ledger_jsonl(self) -> str:
         import json
 
@@ -244,6 +261,15 @@ class MixedLearner(Strategy):
         super().reseed(seed)
         self.passive.reseed(derive_trial_seed(seed, 0, "mixed-passive"))
         self.active.reseed(derive_trial_seed(seed, 1, "mixed-active"))
+
+    def clone(self, seed) -> "MixedLearner":
+        c = copy.copy(self)
+        Strategy.reseed(c, seed)
+        c.passive = self.passive.clone(derive_trial_seed(seed, 0, "mixed-passive"))
+        c.active = self.active.clone(derive_trial_seed(seed, 1, "mixed-active"))
+        if self._chosen is not None:
+            c._chosen = c.active if self._chosen is self.active else c.passive
+        return c
 
 
 class PeriodicSwitcher(Strategy):

@@ -9,7 +9,6 @@ convergence probability.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -418,7 +417,9 @@ class PredictiveExploiter(Strategy):
     The oracle is run on a pool of fresh-seeded learner rebuilds that are fed
     the realized history incrementally, which is equivalent to replaying each
     one onto the history at every interval start but amortizes the replay
-    cost.
+    cost. At each interval start the oracle continues ``clone``s of the pool
+    (``Strategy.clone``: the run state on a fresh continuation stream), so the
+    pool itself never leaves the realized history.
     """
 
     name = "predictive_exploiter"
@@ -453,11 +454,10 @@ class PredictiveExploiter(Strategy):
         if budget is not None and self._steps_spent >= budget:
             sigma, capped = self.oracle.sigma_cap, True
         else:
-            clones = []
-            for j, m in enumerate(self._pool):
-                c = copy.deepcopy(m)
-                c.reseed(derive_trial_seed(self.oracle.seed, i * 100003 + j, "continuation"))
-                clones.append(c)
+            clones = [
+                m.clone(derive_trial_seed(self.oracle.seed, i * 100003 + j, "continuation"))
+                for j, m in enumerate(self._pool)
+            ]
             times = _survival_times(
                 clones, self._last_alice, self.game, self.oracle.sigma_cap,
                 derive_trial_seed(self.oracle.seed, i, "interval"), "oracle-partner",
@@ -552,7 +552,7 @@ def theorem1_adversary(
         raise ValueError("composite adversary requires a square game with N >= 3")
     if not 0.0 < delta < (n - 2) / n:
         raise ValueError(f"delta must be in (0, {(n - 2) / n})")
-    tail = params.tail_window or params.horizon // 2
+    tail = params.tail_window if params.tail_window is not None else params.horizon // 2
     last_switch, final_action = commit_stats(
         game, learner_factory, lambda s: UniformPartner(game.cols, s),
         params.trials, params.horizon, params.seed, "gamma",

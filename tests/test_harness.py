@@ -126,7 +126,7 @@ def _write_cfg(tmp_path, raw, name="cfg.yaml"):
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, _cfg())
+    cfg = _write_cfg(tmp_path, _cfg(metric={"kind": "adaptive_regret"}))
     rc = main(["regret", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
@@ -147,10 +147,19 @@ def test_cli_threshold_failure_exit_one(tmp_path, capsys):
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, _cfg(game={"kind": "nope"}))
+    cfg = _write_cfg(tmp_path, _cfg(game={"kind": "nope"}, metric={"kind": "adaptive_regret"}))
     rc = main(["regret", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_cli_regret_rejects_non_regret_metric(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, _cfg())  # metric: {kind: value}
+    out = tmp_path / "out"
+    rc = main(["regret", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "'value'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_cli_missing_config_exit_two(tmp_path):
@@ -252,3 +261,17 @@ def test_cli_regret_csv_is_summary_head(tmp_path, capsys):
     assert printed == "".join(head)
     assert head[0] == "metric,estimate,ci,trials,horizon,seed\n"
     assert head[1].startswith("adaptive_regret,")
+
+
+def test_summary_head_prints_resolved_defaults(tmp_path, capsys):
+    raw = _cfg(estimation={"trials": 5})  # horizon left at its default
+    run_scenario(raw, tmp_path / "value")
+    head = (tmp_path / "value" / "summary.csv").read_text().splitlines()[1]
+    assert head.startswith("value,") and head.split(",")[3:] == ["5", "10000", "11"]
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(out),
+               "--format", "csv"])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == (out / "summary.csv").read_text().splitlines()[:2]
+    assert printed[1].split(",")[3:] == ["5", "10000", "11"]

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repeated_games.core import ContractViolation, History, coordination_game, example1_game
-from repeated_games.learners import ExpertSet, ExploreThenCommit, FixedAction, StrategicExperts
+from repeated_games.learners import (
+    ExpertSet,
+    ExploreThenCommit,
+    FixedAction,
+    PeriodicSwitcher,
+    StrategicExperts,
+)
 from repeated_games.metrics import estimate_commit_time
 from repeated_games.partners import (
     FictitiousPlayPartner,
@@ -209,6 +215,21 @@ def test_theorem1_adversary_switching_branch_against_etc():
     built = info["factory"](7)
     assert isinstance(built, SwitchingPartner)
     assert built.spec == SwitchingSpec(251, 3, 5)
+
+
+def test_theorem1_adversary_takes_tail_window_zero_literally():
+    g = coordination_game(4)
+
+    def learner(s=None):
+        return PeriodicSwitcher(4, 7, s)
+
+    params = GammaEstimateParams(trials=20, horizon=100, tail_window=0, seed=0)
+    _, info = theorem1_adversary(learner, g, range(4), 0.1, params)
+    commit = estimate_commit_time(g, learner, lambda s=None: UniformPartner(4, s), 0.1,
+                                  trials=20, horizon=100, tail_window=0, seed=0)
+    # an empty tail window holds no switch, so every trial counts as converged
+    assert info["gamma_hat"] == commit.gamma_hat == 0.0
+    assert info["tau"] == commit.tau == 99
 
 
 def test_theorem1_adversary_rejects_out_of_range_action():
