@@ -30,7 +30,7 @@ def learner(seed=None):
 # The composite adversary measures tau and p_e from one batch of learner runs
 # against uniform play; a learner that always commits takes its switching
 # branch.
-_, info = theorem1_adversary(learner, game, experts.actions, 0.05,
+_, info = theorem1_adversary(learner, game, 0.05,
                              GammaEstimateParams(trials=300, horizon=1500, seed=0))
 assert info["branch"] == "switching"
 print(f"estimated commit time tau = {info['tau']}, gamma_hat = {info['gamma_hat']}")

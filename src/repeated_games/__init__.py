@@ -11,7 +11,6 @@ from .core import (
     example1_game,
     rollout,
     simulate_payoffs,
-    step,
 )
 from .learners import (
     BernoulliSwitcher,
@@ -20,6 +19,7 @@ from .learners import (
     FixedAction,
     MixedLearner,
     PeriodicSwitcher,
+    RandomChoiceStrategy,
     StrategicExperts,
 )
 from .machines import (
@@ -53,12 +53,10 @@ from .partners import (
     GrimTriggerSpec,
     OracleParams,
     PredictiveExploiter,
-    RandomChoiceStrategy,
     StationaryPartner,
     SwitchingPartner,
     SwitchingSpec,
     UniformPartner,
-    predict_deviation_horizon,
     theorem1_adversary,
 )
 

@@ -27,15 +27,11 @@ __all__ = [
     "example1_game",
     "point_mass",
     "uniform_dist",
-    "check_distribution",
     "derive_trial_seed",
-    "step",
     "rollout",
     "simulate_payoffs",
     "commit_stats",
 ]
-
-DIST_ATOL = 1e-12
 
 
 class ContractViolation(RuntimeError):
@@ -154,14 +150,6 @@ class History:
             raise ValueError("last_alice_action is undefined on the empty history")
         return self.alice[-1]
 
-    def validate_for(self, game: Game) -> None:
-        for a in self.alice:
-            if not 0 <= a < game.rows:
-                raise ValueError(f"alice action {a} out of range for game")
-        for b in self.bob:
-            if not 0 <= b < game.cols:
-                raise ValueError(f"bob action {b} out of range for game")
-
     def copy(self) -> "History":
         h = History()
         h.alice = list(self.alice)
@@ -179,16 +167,6 @@ def point_mass(n: int, i: int) -> np.ndarray:
 
 def uniform_dist(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
-
-
-def check_distribution(p: np.ndarray) -> None:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("distribution must be a non-empty vector")
-    if np.any(p < 0):
-        raise ValueError("distribution has negative entries")
-    if abs(float(p.sum()) - 1.0) > DIST_ATOL:
-        raise ValueError(f"distribution sums to {p.sum()}, not 1")
 
 
 class Strategy:
@@ -298,24 +276,6 @@ class Trajectory:
             b.append(d["b"])
             u.append(d["u"])
         return Trajectory(game, np.asarray(a, int), np.asarray(b, int), np.asarray(u, float))
-
-
-def step(game: Game, pi: Strategy, phi: Strategy, h: History):
-    """Play one simultaneous stage from history ``h``.
-
-    Both strategies see the identical pre-stage history and sample from
-    independent streams, so query order cannot matter.
-    """
-    h.validate_for(game)
-    pi._sync(h)
-    phi._sync(h)
-    a = pi.decide()
-    if not 0 <= a < game.rows:
-        raise ContractViolation(f"alice strategy {pi.name!r} emitted action {a}")
-    b = phi.decide()
-    if not 0 <= b < game.cols:
-        raise ContractViolation(f"bob strategy {phi.name!r} emitted action {b}")
-    return a, b, game._payoff_rows[a][b]
 
 
 def simulate_payoffs(

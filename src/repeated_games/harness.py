@@ -100,7 +100,7 @@ def _learner_factory(spec: dict, game: Game, experts: ExpertSet):
 
         def make(seed=None):
             subs = [learners.FixedAction(a, game.rows) for a in actions]
-            return partners.RandomChoiceStrategy(subs, None, seed)
+            return learners.RandomChoiceStrategy(subs, None, seed)
 
         return make
     if kind == "periodic_switcher":
@@ -110,6 +110,14 @@ def _learner_factory(spec: dict, game: Game, experts: ExpertSet):
         p = float(spec.get("switch_prob", 0.5))
         return lambda seed=None: learners.BernoulliSwitcher(game.rows, p, seed)
     raise ConfigError(f"unknown learner kind {kind!r}")
+
+
+def _oracle_params(spec: dict) -> partners.OracleParams:
+    return partners.OracleParams(
+        trials=int(spec.get("oracle_trials", 48)),
+        sigma_cap=int(spec.get("sigma_cap", 400)),
+        seed=int(spec.get("oracle_seed", 0)),
+    )
 
 
 def _partner_factory(spec: dict, game: Game, experts: ExpertSet, learner_factory=None):
@@ -140,19 +148,14 @@ def _partner_factory(spec: dict, game: Game, experts: ExpertSet, learner_factory
             built = [
                 f(derive_trial_seed(seed or 0, k, "cfg-mixture")) for k, f in enumerate(subs)
             ]
-            return partners.RandomChoiceStrategy(built, probs, seed)
+            return learners.RandomChoiceStrategy(built, probs, seed)
 
         return make
     if kind == "predictive_exploiter":
         if learner_factory is None:
             raise ConfigError("predictive_exploiter needs a learner section")
         delta = float(spec.get("delta", 0.05))
-        oracle = partners.OracleParams(
-            trials=int(spec.get("oracle_trials", 48)),
-            sigma_cap=int(spec.get("sigma_cap", 400)),
-            seed=int(spec.get("oracle_seed", 0)),
-            max_total_steps=spec.get("max_oracle_steps"),
-        )
+        oracle = _oracle_params(spec)
         return lambda seed=None: partners.PredictiveExploiter(
             learner_factory, game, delta, oracle, seed
         )
@@ -164,16 +167,9 @@ def _partner_factory(spec: dict, game: Game, experts: ExpertSet, learner_factory
             trials=int(spec.get("gamma_trials", 200)),
             horizon=int(spec.get("gamma_horizon", 1500)),
             seed=int(spec.get("gamma_seed", 0)),
-            oracle=partners.OracleParams(
-                trials=int(spec.get("oracle_trials", 48)),
-                sigma_cap=int(spec.get("sigma_cap", 400)),
-                seed=int(spec.get("oracle_seed", 0)),
-                max_total_steps=spec.get("max_oracle_steps"),
-            ),
+            oracle=_oracle_params(spec),
         )
-        _, info = partners.theorem1_adversary(
-            learner_factory, game, experts.actions, delta, params
-        )
+        _, info = partners.theorem1_adversary(learner_factory, game, delta, params)
         return info["factory"]
     raise ConfigError(f"unknown partner kind {kind!r}")
 

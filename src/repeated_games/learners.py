@@ -3,8 +3,9 @@
 Canonical representatives of the three learner classes the adversary
 constructions target: passive almost surely (explore-then-commit), active
 almost surely (epsilon-greedy expert evaluation with growing horizons), and
-seeded mixtures of the two. Fixed-action experts and a couple of toy
-switchers used by the oracle tests live here as well.
+seeded mixtures of the two. Fixed-action experts, the seeded one-draw
+mixture both sides use, and a couple of toy switchers used by the oracle
+tests live here as well.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "ExpertSet",
     "ExploreThenCommit",
     "StrategicExperts",
+    "RandomChoiceStrategy",
     "MixedLearner",
     "PeriodicSwitcher",
     "BernoulliSwitcher",
@@ -220,31 +222,53 @@ class StrategicExperts(Strategy):
         c.reseed(seed)
         return c
 
-    def phase_ledger_jsonl(self) -> str:
-        import json
 
-        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.phase_ledger)
+class RandomChoiceStrategy(Strategy):
+    """Picks one member by a single seeded draw at stage 0, then delegates
+    every call to it.
 
+    ``probs`` defaults to uniform. The first member whose cumulative weight
+    exceeds the draw ``u ~ U[0, 1)`` is chosen. Used as a partner mixture,
+    as a coin-commit learner and, through ``MixedLearner``, as a
+    passive/active learner mixture.
+    """
 
-class MixedLearner(Strategy):
-    """Flips one seeded coin at stage 0, then delegates to the chosen learner."""
+    name = "random_choice"
 
-    name = "mixed"
-
-    def __init__(self, passive: Strategy, active: Strategy, p: float, seed=None):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
+    def __init__(self, strategies, probs=None, seed=None):
+        strategies = list(strategies)
+        if not strategies:
+            raise ValueError("mixture needs at least one member")
+        if probs is None:
+            probs = [1.0 / len(strategies)] * len(strategies)
+        probs = [float(p) for p in probs]
+        if len(probs) != len(strategies):
+            raise ValueError(
+                f"mixture has {len(strategies)} members but {len(probs)} probabilities"
+            )
+        if not all(0.0 <= p <= 1.0 for p in probs):
+            raise ValueError("mixture probabilities must be in [0, 1]")
+        if abs(sum(probs) - 1.0) > 1e-9:
+            raise ValueError("mixture probabilities must sum to 1")
         super().__init__(seed)
-        self.passive = passive
-        self.active = active
-        self.p = p
+        self._strategies = strategies
+        self._probs = probs
         self._chosen = None
+
+    def _member_seed(self, seed, k: int):
+        return derive_trial_seed(seed, k, "mixture-member")
 
     def _choose(self) -> Strategy:
         if self._chosen is None:
-            use_active = self._rand.random() < self.p
-            self._chosen = self.active if use_active else self.passive
-            self.chose_active = use_active
+            u = self._rand.random()
+            acc = 0.0
+            idx = len(self._probs) - 1
+            for j, p in enumerate(self._probs):
+                acc += p
+                if u < acc:
+                    idx = j
+                    break
+            self._chosen = self._strategies[idx]
         return self._chosen
 
     def decide(self) -> int:
@@ -259,17 +283,42 @@ class MixedLearner(Strategy):
 
     def reseed(self, seed) -> None:
         super().reseed(seed)
-        self.passive.reseed(derive_trial_seed(seed, 0, "mixed-passive"))
-        self.active.reseed(derive_trial_seed(seed, 1, "mixed-active"))
+        for k, s in enumerate(self._strategies):
+            s.reseed(self._member_seed(seed, k))
 
-    def clone(self, seed) -> "MixedLearner":
+    def clone(self, seed) -> "RandomChoiceStrategy":
         c = copy.copy(self)
         Strategy.reseed(c, seed)
-        c.passive = self.passive.clone(derive_trial_seed(seed, 0, "mixed-passive"))
-        c.active = self.active.clone(derive_trial_seed(seed, 1, "mixed-active"))
+        c._strategies = [
+            s.clone(self._member_seed(seed, k)) for k, s in enumerate(self._strategies)
+        ]
         if self._chosen is not None:
-            c._chosen = c.active if self._chosen is self.active else c.passive
+            k = next(k for k, s in enumerate(self._strategies) if s is self._chosen)
+            c._chosen = c._strategies[k]
         return c
+
+
+class MixedLearner(RandomChoiceStrategy):
+    """Flips one seeded coin at stage 0: the active learner with probability
+    ``p``, else the passive one; then delegates to the chosen learner."""
+
+    name = "mixed"
+
+    def __init__(self, passive: Strategy, active: Strategy, p: float, seed=None):
+        # members [active, passive]: the draw picks active exactly when u < p
+        super().__init__([active, passive], [p, 1.0 - p], seed)
+
+    def _member_seed(self, seed, k: int):
+        # active (member 0) keeps stream (1, "mixed-active"), passive
+        # (member 1) stream (0, "mixed-passive")
+        return derive_trial_seed(seed, 1 - k, ("mixed-active", "mixed-passive")[k])
+
+    @property
+    def chose_active(self) -> bool | None:
+        """Whether the coin picked the active learner; None before the flip."""
+        if self._chosen is None:
+            return None
+        return self._chosen is self._strategies[0]
 
 
 class PeriodicSwitcher(Strategy):

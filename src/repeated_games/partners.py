@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     Game,
-    History,
     Strategy,
     commit_stats,
     derive_trial_seed,
@@ -29,14 +28,12 @@ __all__ = [
     "GrimTriggerSpec",
     "SwitchingSpec",
     "OracleParams",
-    "predict_deviation_horizon",
     "theorem1_adversary",
     "UniformPartner",
     "GrimTrigger",
     "SwitchingPartner",
     "FictitiousPlayPartner",
     "PredictiveExploiter",
-    "RandomChoiceStrategy",
 ]
 
 
@@ -249,53 +246,6 @@ class StationaryPartner(Strategy):
         self._pos += 1
 
 
-class RandomChoiceStrategy(Strategy):
-    """Picks one sub-strategy by a single seeded draw at stage 0, then
-    delegates every call to it (used for partner mixtures and coin-commit
-    learners)."""
-
-    name = "random_choice"
-
-    def __init__(self, strategies, probs=None, seed=None):
-        super().__init__(seed)
-        self._strategies = list(strategies)
-        if probs is None:
-            probs = [1.0 / len(self._strategies)] * len(self._strategies)
-        self._probs = [float(p) for p in probs]
-        if abs(sum(self._probs) - 1.0) > 1e-9:
-            raise ValueError("mixture probabilities must sum to 1")
-        self._chosen = None
-
-    def _choose(self) -> Strategy:
-        if self._chosen is None:
-            u = self._rand.random()
-            acc = 0.0
-            idx = len(self._probs) - 1
-            for j, p in enumerate(self._probs):
-                acc += p
-                if u < acc:
-                    idx = j
-                    break
-            self._chosen = self._strategies[idx]
-            self.chosen_index = idx
-        return self._chosen
-
-    def decide(self) -> int:
-        return self._choose().decide()
-
-    def probs(self) -> np.ndarray:
-        return self._choose().probs()
-
-    def observe(self, a, b):
-        self._pos += 1
-        self._choose().observe(a, b)
-
-    def reseed(self, seed) -> None:
-        super().reseed(seed)
-        for k, s in enumerate(self._strategies):
-            s.reseed(derive_trial_seed(seed, k, "mixture-member"))
-
-
 # ---------------------------------------------------------------------------
 # Deviation-prediction oracle and the predictive exploiter
 # ---------------------------------------------------------------------------
@@ -303,15 +253,25 @@ class RandomChoiceStrategy(Strategy):
 
 @dataclass(frozen=True)
 class OracleParams:
-    """Budget knobs for the deviation-prediction oracle."""
+    """Budget knobs for the deviation-prediction oracle.
+
+    ``trials`` (pool size) and ``sigma_cap`` must be at least 1: with no
+    continuations, or none allowed a stage, every interval would be
+    certified without evidence.
+    """
 
     trials: int = 48
     sigma_cap: int = 400
     seed: int = 0
-    max_total_steps: int | None = None  # cap on summed continuation stages
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("oracle trials must be >= 1")
+        if self.sigma_cap < 1:
+            raise ValueError("oracle sigma_cap must be >= 1")
 
 
-def _survival_times(learners, ref_action, game: Game, sigma_cap: int, seed: int, tag: str):
+def _survival_times(learners, ref_action, game: Game, sigma_cap: int, seed: int):
     """How long each continuation keeps playing ``ref_action`` vs uniform play.
 
     ``learners`` are already positioned at the conditioning history; each is
@@ -321,7 +281,7 @@ def _survival_times(learners, ref_action, game: Game, sigma_cap: int, seed: int,
     times = []
     cols = game.cols
     for j, learner in enumerate(learners):
-        partner = UniformPartner(cols, derive_trial_seed(seed, j, tag))
+        partner = UniformPartner(cols, derive_trial_seed(seed, j, "oracle-partner"))
         ref = ref_action
         t = 0
         for s in range(sigma_cap):
@@ -362,38 +322,6 @@ def _smallest_sigma(times, delta_i: float, sigma_cap: int):
     if sigma > sigma_cap:
         return sigma_cap, True
     return sigma, False
-
-
-def predict_deviation_horizon(
-    learner_factory,
-    h: History,
-    game: Game,
-    delta_i: float,
-    oracle_trials: int,
-    sigma_cap: int,
-    seed: int = 0,
-):
-    """Estimate the horizon within which the learner almost surely deviates.
-
-    Runs ``oracle_trials`` fresh-seeded rebuilds of the learner, replays each
-    onto ``h``, and continues them against uniform play. Returns
-    ``(sigma, capped)`` where ``sigma`` is the smallest value such that the
-    empirical fraction of continuations keeping Alice's last action in ``h``
-    for ``sigma`` consecutive stages is at most ``delta_i``; ``capped`` is
-    True when no such sigma exists within ``sigma_cap``.
-    """
-    if oracle_trials <= 0:
-        raise ValueError("oracle_trials must be >= 1")
-    if not 0.0 < delta_i < 1.0:
-        raise ValueError("delta_i must be in (0, 1)")
-    ref = h.last_alice_action() if len(h) else None
-    learners = []
-    for j in range(oracle_trials):
-        learner = learner_factory(derive_trial_seed(seed, j, "oracle-learner"))
-        learner._sync(h)
-        learners.append(learner)
-    times = _survival_times(learners, ref, game, sigma_cap, seed, "oracle-partner")
-    return _smallest_sigma(times, delta_i, sigma_cap)
 
 
 @dataclass
@@ -450,20 +378,16 @@ class PredictiveExploiter(Strategy):
         st = self._state
         i = st.interval_index
         delta_i = self.delta / 2.0 ** (i + 1)
-        budget = self.oracle.max_total_steps
-        if budget is not None and self._steps_spent >= budget:
-            sigma, capped = self.oracle.sigma_cap, True
-        else:
-            clones = [
-                m.clone(derive_trial_seed(self.oracle.seed, i * 100003 + j, "continuation"))
-                for j, m in enumerate(self._pool)
-            ]
-            times = _survival_times(
-                clones, self._last_alice, self.game, self.oracle.sigma_cap,
-                derive_trial_seed(self.oracle.seed, i, "interval"), "oracle-partner",
-            )
-            self._steps_spent += sum(times)
-            sigma, capped = _smallest_sigma(times, delta_i, self.oracle.sigma_cap)
+        clones = [
+            m.clone(derive_trial_seed(self.oracle.seed, i * 100003 + j, "continuation"))
+            for j, m in enumerate(self._pool)
+        ]
+        times = _survival_times(
+            clones, self._last_alice, self.game, self.oracle.sigma_cap,
+            derive_trial_seed(self.oracle.seed, i, "interval"),
+        )
+        self._steps_spent += sum(times)
+        sigma, capped = _smallest_sigma(times, delta_i, self.oracle.sigma_cap)
         st.sigma = sigma
         st.delta_i = delta_i
         st.capped = capped
@@ -529,7 +453,6 @@ class GammaEstimateParams:
 def theorem1_adversary(
     learner_factory,
     game: Game,
-    experts,
     delta: float,
     params: GammaEstimateParams | None = None,
     seed=None,
@@ -542,9 +465,14 @@ def theorem1_adversary(
     (N-2)/N - gamma - delta dominates the active-case bound
     gamma * ((N-2)/N - delta), build the switching strategy targeted at the
     least likely convergence action; otherwise return the predictive
-    exploiter.
+    exploiter. The learner's actions are the game's rows, so no expert set
+    is needed.
 
-    Returns ``(strategy, info)`` with the measured quantities.
+    Returns ``(strategy, info)``: ``strategy`` is the chosen adversary seeded
+    with ``seed``; ``info`` holds the measured quantities (``gamma_hat``, both
+    bounds, ``branch`` and, on the switching branch, ``tau``, ``target`` and
+    ``p_e``) and ``factory``, which builds a fresh adversary per seed for
+    trial loops.
     """
     params = params or GammaEstimateParams()
     n = game.rows

@@ -30,6 +30,7 @@ from .learners import (
     ExploreThenCommit,
     FixedAction,
     MixedLearner,
+    RandomChoiceStrategy,
     StrategicExperts,
 )
 from .metrics import (
@@ -51,7 +52,6 @@ from .partners import (
     GrimTriggerSpec,
     OracleParams,
     PredictiveExploiter,
-    RandomChoiceStrategy,
     StationaryPartner,
     SwitchingPartner,
     SwitchingSpec,
@@ -409,7 +409,7 @@ def suite_theorem1(seed: int = 43) -> CriterionResult:
     # interval 0 is uncertifiable and the adversary never mirrors.
     gp = GammaEstimateParams(trials=100, horizon=1200, seed=seed,
                              oracle=OracleParams(trials=48, sigma_cap=1500, seed=seed))
-    _, info = theorem1_adversary(learner, g, experts.actions, delta, gp)
+    _, info = theorem1_adversary(learner, g, delta, gp)
     table = bound_table(n, delta)
 
     params = EstimatorParams(trials=48, horizon=3000, tail_window=750, seed=seed,

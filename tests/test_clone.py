@@ -15,6 +15,7 @@ from repeated_games.learners import (
     FixedAction,
     MixedLearner,
     PeriodicSwitcher,
+    RandomChoiceStrategy,
     StrategicExperts,
 )
 from repeated_games.machines import FSMBehavioral, fsm_encode
@@ -24,7 +25,6 @@ from repeated_games.partners import (
     GrimTriggerSpec,
     OracleParams,
     PredictiveExploiter,
-    RandomChoiceStrategy,
     StationaryPartner,
     SwitchingPartner,
     SwitchingSpec,

@@ -16,7 +16,6 @@ from repeated_games.core import (
     example1_game,
     rollout,
     simulate_payoffs,
-    step,
 )
 from repeated_games.learners import FixedAction, PeriodicSwitcher
 from repeated_games.partners import GrimTrigger, GrimTriggerSpec, UniformPartner
@@ -91,15 +90,16 @@ def test_derive_trial_seed_in_range(master, trial):
     assert 0 <= s < 2**64
 
 
-def test_step_rejects_out_of_range_actions():
-    g = example1_game()
-
-    class Bad(UniformPartner):
-        def decide(self):
-            return 9
-
-    with pytest.raises(ContractViolation, match="alice"):
-        step(g, Bad(2, 0), UniformPartner(3, 1), History())
+def test_simulate_payoffs_rejects_out_of_range_actions():
+    g = example1_game()  # alice has actions 0..1, bob 0..2
+    # a 3-action cycler leaves alice's range at stage 4 (actions 0 0 1 1 2)
+    with pytest.raises(ContractViolation,
+                       match="alice strategy 'periodic_switcher' emitted action 2 at stage 4"):
+        simulate_payoffs(g, PeriodicSwitcher(3, 2), UniformPartner(3, 1), 10)
+    # a 4-action cycler leaves bob's range at stage 6 (actions 0 0 1 1 2 2 3)
+    with pytest.raises(ContractViolation,
+                       match="bob strategy 'periodic_switcher' emitted action 3 at stage 6"):
+        simulate_payoffs(g, UniformPartner(2, 1), PeriodicSwitcher(4, 2), 10)
 
 
 def test_simulate_payoffs_within_range():

@@ -251,6 +251,24 @@ def test_cli_exploit_writes_audit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_exploit_rejects_empty_oracle_budget(tmp_path, capsys):
+    raw = _cfg(partner={"kind": "predictive_exploiter", "oracle_trials": 0})
+    out = tmp_path / "out"
+    rc = main(["exploit", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(out)])
+    assert rc == 2
+    assert "oracle trials must be >= 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_rejects_empty_mixture(tmp_path, capsys):
+    raw = _cfg(partner={"kind": "mixture", "components": []})
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(out)])
+    assert rc == 2
+    assert "at least one member" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_regret_csv_is_summary_head(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, _cfg(metric={"kind": "adaptive_regret"}))
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repeated_games.core import History, coordination_game
+from repeated_games.core import History, coordination_game, derive_trial_seed
 from repeated_games.learners import (
     BernoulliSwitcher,
     ExpertSet,
@@ -141,6 +141,18 @@ def test_mixed_learner_delegates_fully():
     assert acts == (2,) * 8
     m2 = MixedLearner(FixedAction(2, 3), PeriodicSwitcher(3, 2), 1.0, seed=4)
     assert _first_actions(m2, 6) == (0, 0, 1, 1, 2, 2)
+
+
+def test_mixed_learner_keeps_its_member_seed_tags():
+    # every mixed-learner result depends on these streams
+    passive, active = FixedAction(0, 3), PeriodicSwitcher(3, 2)
+    m = MixedLearner(passive, active, 0.5)
+    m.reseed(9)
+    assert passive._seed == derive_trial_seed(9, 0, "mixed-passive")
+    assert active._seed == derive_trial_seed(9, 1, "mixed-active")
+    c = m.clone(5)
+    assert [s._seed for s in c._strategies] == [
+        derive_trial_seed(5, 1, "mixed-active"), derive_trial_seed(5, 0, "mixed-passive")]
 
 
 def test_periodic_switcher_cycles():

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from repeated_games.core import ContractViolation, History, coordination_game, example1_game
+from repeated_games.core import ContractViolation, coordination_game, example1_game
 from repeated_games.learners import (
     ExpertSet,
     ExploreThenCommit,
     FixedAction,
     PeriodicSwitcher,
+    RandomChoiceStrategy,
     StrategicExperts,
 )
 from repeated_games.metrics import estimate_commit_time
@@ -19,13 +20,11 @@ from repeated_games.partners import (
     GrimTriggerSpec,
     OracleParams,
     PredictiveExploiter,
-    RandomChoiceStrategy,
     StationaryPartner,
     SwitchingPartner,
     SwitchingSpec,
     UniformPartner,
     _smallest_sigma,
-    predict_deviation_horizon,
     theorem1_adversary,
 )
 
@@ -137,6 +136,18 @@ def test_random_choice_respects_weights():
     assert 0.03 < np.mean(draws) < 0.2
 
 
+def test_random_choice_rejects_bad_members_and_probs():
+    two = lambda: [FixedAction(0, 2), FixedAction(1, 2)]  # noqa: E731
+    with pytest.raises(ValueError, match="at least one member"):
+        RandomChoiceStrategy([], None, 0)
+    with pytest.raises(ValueError, match="2 members but 3 probabilities"):
+        RandomChoiceStrategy(two(), [0.5, 0.25, 0.25], 0)
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        RandomChoiceStrategy(two(), [1.5, -0.5], 0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        RandomChoiceStrategy(two(), [0.5, 0.4], 0)
+
+
 def test_smallest_sigma_drops_converged_continuations():
     # half the continuations never switch within the cap: excluded
     times = [3, 4, 5, 200, 200]
@@ -152,13 +163,12 @@ def test_smallest_sigma_caps_out():
     assert capped and sigma == 200
 
 
-def test_predict_deviation_horizon_validates_args():
-    g = coordination_game(3)
-    factory = lambda s=None: FixedAction(0, 3, s)  # noqa: E731
-    with pytest.raises(ValueError):
-        predict_deviation_horizon(factory, History(), g, 0.5, oracle_trials=0, sigma_cap=10)
-    with pytest.raises(ValueError):
-        predict_deviation_horizon(factory, History(), g, 1.5, oracle_trials=4, sigma_cap=10)
+def test_oracle_params_reject_empty_budgets():
+    with pytest.raises(ValueError, match="trials"):
+        OracleParams(trials=0, sigma_cap=50)
+    with pytest.raises(ValueError, match="sigma_cap"):
+        OracleParams(trials=4, sigma_cap=0)
+    assert OracleParams(trials=1, sigma_cap=1).trials == 1
 
 
 def test_exploiter_delta_schedule_sums_below_delta():
@@ -202,7 +212,7 @@ def test_theorem1_adversary_switching_branch_against_etc():
         return ExploreThenCommit(g, experts, 250, s)
 
     params = GammaEstimateParams(trials=100, horizon=1200, seed=0)
-    strategy, info = theorem1_adversary(learner, g, experts.actions, 0.1, params)
+    strategy, info = theorem1_adversary(learner, g, 0.1, params)
     assert info["branch"] == "switching"
     assert info["gamma_hat"] == 0.0
     assert info["tau"] == 251
@@ -224,7 +234,7 @@ def test_theorem1_adversary_takes_tail_window_zero_literally():
         return PeriodicSwitcher(4, 7, s)
 
     params = GammaEstimateParams(trials=20, horizon=100, tail_window=0, seed=0)
-    _, info = theorem1_adversary(learner, g, range(4), 0.1, params)
+    _, info = theorem1_adversary(learner, g, 0.1, params)
     commit = estimate_commit_time(g, learner, lambda s=None: UniformPartner(4, s), 0.1,
                                   trials=20, horizon=100, tail_window=0, seed=0)
     # an empty tail window holds no switch, so every trial counts as converged
@@ -235,5 +245,5 @@ def test_theorem1_adversary_takes_tail_window_zero_literally():
 def test_theorem1_adversary_rejects_out_of_range_action():
     g = coordination_game(5)
     with pytest.raises(ContractViolation):
-        theorem1_adversary(lambda s=None: FixedAction(9, 10, s), g, range(5), 0.1,
+        theorem1_adversary(lambda s=None: FixedAction(9, 10, s), g, 0.1,
                            GammaEstimateParams(trials=5, horizon=20))
