@@ -205,6 +205,17 @@ class Strategy:
         """Record the realized joint action of the stage just played."""
         self._pos += 1
 
+    def absorbed(self) -> int | None:
+        """The action played at every later stage, or None if not (yet) known.
+
+        A strategy that returns an action ``a`` here promises that from now
+        on ``decide()`` returns ``a`` and ``probs()`` is the point mass at
+        ``a``, whatever history it observes and whatever its random stream
+        draws. Callers may then skip simulating it (the deviation oracle
+        does). The default, None, promises nothing and is always safe.
+        """
+        return None
+
     # -- shared machinery ------------------------------------------------------
     def reset(self) -> None:
         """Optional: return to the fresh, pre-game state with the original seed."""

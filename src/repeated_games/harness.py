@@ -222,18 +222,38 @@ class RunReport:
         ) + "\n"
 
     def summary_head(self) -> list[str]:
-        """Header and headline row of ``summary.csv``, also the CLI's csv output."""
+        """Header and headline row of ``summary.csv``, also the CLI's csv output.
+
+        Trials and horizon are the resolved values the metric ran with; a
+        cell is empty where the metric has no such budget (one ``simulate``
+        rollout; the closed-form ``bounds`` table). ``external_regret`` counts
+        its trajectories as trials.
+        """
         res = self.results
+        metric = self.config.get("metric", {})
+        kind = metric.get("kind", "value")
         est = ScenarioConfig(self.config).estimator_params()
+        trials, horizon = est.trials, est.horizon
+        if kind == "simulate":
+            trials = ""
+        elif kind == "bounds":
+            trials = horizon = ""
+        elif kind == "external_regret":
+            trials = _trajectories(metric)
         row = [
-            self.config.get("metric", {}).get("kind", "value"),
+            kind,
             res.get("regret", res.get("mean", res.get("mean_payoff", ""))),
             res.get("ci_half_width", ""),
-            est.trials,
-            est.horizon,
+            trials,
+            horizon,
             self.config.get("seed", 0),
         ]
         return ["metric,estimate,ci,trials,horizon,seed", ",".join(str(x) for x in row)]
+
+
+def _trajectories(metric: dict) -> int:
+    """Rollouts an ``external_regret`` metric averages over."""
+    return int(metric.get("trajectories", 50))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -324,7 +344,7 @@ def run_scenario(
         )
         results = est.to_dict()
     elif kind == "external_regret":
-        n_traj = int(metric.get("trajectories", 50))
+        n_traj = _trajectories(metric)
         trajs = [
             rollout(
                 game,

@@ -51,6 +51,9 @@ class FixedAction(Strategy):
     def observe(self, a, b):
         self._pos += 1
 
+    def absorbed(self) -> int:
+        return self.action
+
     def reset(self):
         self._pos = 0
 
@@ -121,6 +124,11 @@ class ExploreThenCommit(Strategy):
             ]
             best = max(means)
             self._committed = means.index(best)  # ties to lowest index
+
+    def absorbed(self) -> int | None:
+        if self._committed is None:
+            return None
+        return self.experts.actions[self._committed]
 
     def clone(self, seed) -> "ExploreThenCommit":
         c = copy.copy(self)
@@ -280,6 +288,10 @@ class RandomChoiceStrategy(Strategy):
     def observe(self, a, b):
         self._pos += 1
         self._choose().observe(a, b)
+
+    def absorbed(self) -> int | None:
+        # before the draw any member may still be chosen
+        return None if self._chosen is None else self._chosen.absorbed()
 
     def reseed(self, seed) -> None:
         super().reseed(seed)

@@ -271,16 +271,23 @@ class OracleParams:
             raise ValueError("oracle sigma_cap must be >= 1")
 
 
-def _survival_times(learners, ref_action, game: Game, sigma_cap: int, seed: int):
+def _survival_times(continuations, ref_action, game: Game, sigma_cap: int, seed: int):
     """How long each continuation keeps playing ``ref_action`` vs uniform play.
 
-    ``learners`` are already positioned at the conditioning history; each is
-    given a fresh partner stream. Returns a list of survival times, where
-    ``sigma_cap`` means the action never changed within budget.
+    ``continuations`` are ``(j, learner)`` pairs, each learner already
+    positioned at the conditioning history; continuation ``j`` is given the
+    fresh partner stream ``j``. An absorbed learner (``Strategy.absorbed``)
+    plays no stage: it keeps ``ref_action`` for the whole budget or leaves it
+    at once. Returns a list of survival times, where ``sigma_cap`` means the
+    action never changed within budget.
     """
     times = []
     cols = game.cols
-    for j, learner in enumerate(learners):
+    for j, learner in continuations:
+        fixed = learner.absorbed()
+        if fixed is not None:
+            times.append(sigma_cap if ref_action is None or fixed == ref_action else 0)
+            continue
         partner = UniformPartner(cols, derive_trial_seed(seed, j, "oracle-partner"))
         ref = ref_action
         t = 0
@@ -342,12 +349,19 @@ class PredictiveExploiter(Strategy):
     delta_i = delta / 2^(i+1)); the exploiter plays uniformly for sigma_i
     stages, then mirrors Alice's current action until she deviates.
 
-    The oracle is run on a pool of fresh-seeded learner rebuilds that are fed
-    the realized history incrementally, which is equivalent to replaying each
-    one onto the history at every interval start but amortizes the replay
-    cost. At each interval start the oracle continues ``clone``s of the pool
-    (``Strategy.clone``: the run state on a fresh continuation stream), so the
-    pool itself never leaves the realized history.
+    The oracle is run on a pool of fresh-seeded learner rebuilds. The pool is
+    only read when an interval opens, so ``observe`` just records the realized
+    stage, and each live member replays the stages recorded since the last
+    interval start when the next one opens: the same state as feeding it every
+    stage, since members are independent and each owns its random stream.
+    The oracle then continues ``clone``s of the live members (``Strategy.clone``:
+    the run state on a fresh continuation stream), so the pool itself never
+    leaves the realized history. A member that is absorbed after its catch-up
+    (``Strategy.absorbed``) leaves the pool for good: it is never fed, cloned
+    or stepped again, and the oracle reads only its fixed action. Members keep
+    their original index ``j`` for life, and the continuation and
+    oracle-partner seeds are keyed by it, never by a position in the shrinking
+    pool.
     """
 
     name = "predictive_exploiter"
@@ -360,10 +374,13 @@ class PredictiveExploiter(Strategy):
         self.delta = delta
         self.oracle = oracle
         self._draw = _BlockInts(self._rand, game.cols)
+        # (j, learner) pairs: live members, and absorbed ones that left them
         self._pool = [
-            learner_factory(derive_trial_seed(oracle.seed, j, "pool"))
+            (j, learner_factory(derive_trial_seed(oracle.seed, j, "pool")))
             for j in range(oracle.trials)
         ]
+        self._settled = []
+        self._pending = []  # stages observed since the pool was last caught up
         self._state = ExploiterState()
         self._last_alice = None
         self._sigma_ready = False
@@ -378,12 +395,21 @@ class PredictiveExploiter(Strategy):
         st = self._state
         i = st.interval_index
         delta_i = self.delta / 2.0 ** (i + 1)
-        clones = [
-            m.clone(derive_trial_seed(self.oracle.seed, i * 100003 + j, "continuation"))
-            for j, m in enumerate(self._pool)
+        # catch the live members up; the absorbed ones leave for good
+        live = []
+        for j, m in self._pool:
+            obs = m.observe
+            for a, b in self._pending:
+                obs(a, b)
+            (live if m.absorbed() is None else self._settled).append((j, m))
+        self._pool = live
+        self._pending = []
+        continuations = [
+            (j, m.clone(derive_trial_seed(self.oracle.seed, i * 100003 + j, "continuation")))
+            for j, m in live
         ]
         times = _survival_times(
-            clones, self._last_alice, self.game, self.oracle.sigma_cap,
+            continuations + self._settled, self._last_alice, self.game, self.oracle.sigma_cap,
             derive_trial_seed(self.oracle.seed, i, "interval"),
         )
         self._steps_spent += sum(times)
@@ -420,8 +446,8 @@ class PredictiveExploiter(Strategy):
 
     def observe(self, a, b):
         self._pos += 1
-        for m in self._pool:
-            m.observe(a, b)
+        if self._pool:
+            self._pending.append((a, b))
         if self._last_alice is not None and a != self._last_alice:
             # Alice deviated: open interval i+1 starting at the next stage.
             st = self._state

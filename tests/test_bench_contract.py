@@ -37,13 +37,13 @@ def test_active_exploiter_balances_the_learner_coins(tmp_path):
     assert 2 * workload._active_count(seeds) == trials
 
 
-def test_traced_theorem1_scenario_audits_every_oracle_interval(tmp_path):
+def _traced_theorem1_scenario(tmp_path, learner, oracle_trials):
     config = {
         "seed": 3,
         "game": {"kind": "coordination", "n": 5},
-        "learner": {"kind": "strategic_experts", "epsilon": 0.2},
+        "learner": learner,
         "partner": {"kind": "theorem1_adversary", "delta": 0.1, "gamma_trials": 20,
-                    "gamma_horizon": 300, "oracle_trials": 4, "sigma_cap": 100},
+                    "gamma_horizon": 300, "oracle_trials": oracle_trials, "sigma_cap": 100},
         "metric": {"kind": "value"},
         "estimation": {"trials": 2, "horizon": 300},
         "output": {"audit": True},
@@ -61,3 +61,18 @@ def test_traced_theorem1_scenario_audits_every_oracle_interval(tmp_path):
     assert tracer.oracle_span_count() == metrics["partners.oracle.intervals"]
     assert metrics["partners.oracle.continuation_steps"] > 0
     assert metrics["partners.theorem1_adversary.s"] > 0
+    return tracer
+
+
+def test_traced_theorem1_scenario_audits_every_oracle_interval(tmp_path):
+    _traced_theorem1_scenario(tmp_path, {"kind": "strategic_experts", "epsilon": 0.2}, 4)
+
+
+def test_traced_oracle_scores_absorbed_pool_members(tmp_path):
+    # half the pool is explore-then-commit: committed members leave the live
+    # pool, and the oracle scores them without playing their continuations
+    learner = {"kind": "mixed", "p": 0.5,
+               "passive": {"kind": "explore_then_commit", "T": 10},
+               "active": {"kind": "strategic_experts", "epsilon": 0.2}}
+    tracer = _traced_theorem1_scenario(tmp_path, learner, 8)
+    assert any(ex._settled for ex in tracer.exploiters)

@@ -292,4 +292,22 @@ def test_summary_head_prints_resolved_defaults(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed == (out / "summary.csv").read_text().splitlines()[:2]
-    assert printed[1].split(",")[3:] == ["5", "10000", "11"]
+    # one rollout: no trials, but the resolved horizon
+    assert printed[1].split(",")[3:] == ["", "10000", "11"]
+
+
+def test_summary_head_leaves_budgets_a_metric_ignores_empty(tmp_path):
+    def head(name, **overrides):
+        run_scenario(_cfg(**overrides), tmp_path / name)
+        return (tmp_path / name / "summary.csv").read_text().splitlines()[1].split(",")
+
+    # a closed-form table has neither trials nor a horizon
+    row = head("bounds", metric={"kind": "bounds", "N": 3, "delta": 0.1})
+    assert row[0] == "bounds" and row[3:] == ["", "", "11"]
+    # external regret averages over its trajectories, not estimation.trials
+    row = head("external", metric={"kind": "external_regret", "trajectories": 3},
+               estimation={"trials": 5, "horizon": 40})
+    assert row[0] == "external_regret" and row[3:] == ["3", "40", "11"]
+    row = head("external-default", metric={"kind": "external_regret"},
+               estimation={"trials": 5, "horizon": 20})
+    assert row[3:] == ["50", "20", "11"]

@@ -3,11 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from repeated_games.core import ContractViolation, coordination_game, example1_game
+from repeated_games.core import (
+    ContractViolation,
+    coordination_game,
+    derive_trial_seed,
+    example1_game,
+    simulate_payoffs,
+)
 from repeated_games.learners import (
     ExpertSet,
     ExploreThenCommit,
     FixedAction,
+    MixedLearner,
     PeriodicSwitcher,
     RandomChoiceStrategy,
     StrategicExperts,
@@ -202,6 +209,80 @@ def test_exploiter_mirrors_committed_action_after_sigma():
     assert not rec0["capped"]
     assert ex.decide() == 1  # well past sigma_0, Alice committed to action 1
     assert seen_mirror
+
+
+class _EagerExploiter(PredictiveExploiter):
+    """Reference oracle: feeds every pool member every stage, continues a
+    clone of every member (index ``j`` from ``enumerate``) and simulates
+    every continuation stage by stage, absorbed or not."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._members = [m for _, m in self._pool]
+        self._pool = []  # the base class records no pending stages
+
+    def observe(self, a, b):
+        for m in self._members:
+            m.observe(a, b)
+        super().observe(a, b)
+
+    def _open_interval(self):
+        st, oracle = self._state, self.oracle
+        i = st.interval_index
+        delta_i = self.delta / 2.0 ** (i + 1)
+        interval_seed = derive_trial_seed(oracle.seed, i, "interval")
+        times = []
+        for j, m in enumerate(self._members):
+            learner = m.clone(derive_trial_seed(oracle.seed, i * 100003 + j, "continuation"))
+            partner = UniformPartner(
+                self.game.cols, derive_trial_seed(interval_seed, j, "oracle-partner"))
+            ref, t = self._last_alice, 0
+            while t < oracle.sigma_cap:
+                a = learner.decide()
+                ref = a if ref is None else ref
+                if a != ref:
+                    break
+                b = partner.decide()
+                learner.observe(a, b)
+                partner.observe(a, b)
+                t += 1
+            times.append(t)
+        self._steps_spent += sum(times)
+        st.sigma, st.capped = _smallest_sigma(times, delta_i, oracle.sigma_cap)
+        st.delta_i = delta_i
+        self.audit_log.append({"interval": i, "s_i": st.interval_start_stage,
+                               "sigma_i": st.sigma, "delta_i": delta_i, "capped": st.capped})
+        self._sigma_ready = True
+
+
+def test_exploiter_matches_the_eager_reference_oracle():
+    g = coordination_game(3)
+    experts = ExpertSet.fixed_actions(3)
+
+    def mixed(s=None):
+        return MixedLearner(ExploreThenCommit(g, experts, 9, derive_trial_seed(s, 0, "p")),
+                            StrategicExperts(g, experts, 0.3, None, derive_trial_seed(s, 1, "a")),
+                            0.5, s)
+
+    def half_fixed(s=None):
+        # absorbed from the start for odd seeds, so interval 0 (no reference
+        # action yet) scores absorbed members too
+        return FixedAction(s % 3, 3, s) if s % 2 else mixed(s)
+
+    settled = 0
+    for pool in (mixed, half_fixed):
+        for learner in (lambda s: FixedAction(1, 3, s), mixed):
+            for seed in range(4):
+                oracle = OracleParams(trials=10, sigma_cap=80, seed=seed)
+                ex = PredictiveExploiter(pool, g, 0.1, oracle, 50 + seed)
+                ref = _EagerExploiter(pool, g, 0.1, oracle, 50 + seed)
+                for phi in (ex, ref):
+                    simulate_payoffs(g, learner(70 + seed), phi, 300)
+                assert ex.audit_log == ref.audit_log
+                assert ex.audit_log[0]["interval"] == 0
+                assert ex._steps_spent == ref._steps_spent
+                settled += bool(ex._settled)
+    assert settled > 0  # the absorbed shortcut ran
 
 
 def test_theorem1_adversary_switching_branch_against_etc():
