@@ -296,33 +296,38 @@ def simulate_payoffs(
 
     This is the hot loop: strategies are driven through their incremental
     decide/observe interface and all bookkeeping stays in local variables.
+    The methods are read again after stage 0, where a fresh mixture draws
+    its member and binds the member's methods (``RandomChoiceStrategy``).
     When ``history`` is given, each stage's joint action is appended to it.
     """
     pay = game._payoff_rows
     rows, cols = game.rows, game.cols
     out = np.empty(horizon)
-    pdec, qdec = pi.decide, phi.decide
-    pobs, qobs = pi.observe, phi.observe
     record = history is not None
     if record:
         arec, brec = history.alice.append, history.bob.append
-    for n in range(horizon):
-        a = pdec()
-        if not 0 <= a < rows:
-            raise ContractViolation(
-                f"alice strategy {pi.name!r} emitted action {a} at stage {n}"
-            )
-        b = qdec()
-        if not 0 <= b < cols:
-            raise ContractViolation(
-                f"bob strategy {phi.name!r} emitted action {b} at stage {n}"
-            )
-        out[n] = pay[a][b]
-        pobs(a, b)
-        qobs(a, b)
-        if record:
-            arec(a)
-            brec(b)
+    lo = 0
+    for hi in (min(horizon, 1), horizon):
+        pdec, qdec = pi.decide, phi.decide
+        pobs, qobs = pi.observe, phi.observe
+        for n in range(lo, hi):
+            a = pdec()
+            if not 0 <= a < rows:
+                raise ContractViolation(
+                    f"alice strategy {pi.name!r} emitted action {a} at stage {n}"
+                )
+            b = qdec()
+            if not 0 <= b < cols:
+                raise ContractViolation(
+                    f"bob strategy {phi.name!r} emitted action {b} at stage {n}"
+                )
+            out[n] = pay[a][b]
+            pobs(a, b)
+            qobs(a, b)
+            if record:
+                arec(a)
+                brec(b)
+        lo = hi
     return out
 
 
@@ -349,6 +354,9 @@ def rollout(game: Game, pi: Strategy, phi: Strategy, horizon: int, seed=None) ->
     )
 
 
+_COMMIT_BLOCK = 64  # stages between absorbed() polls in commit_stats
+
+
 def commit_stats(
     game: Game, learner_factory, partner_factory, trials: int, horizon: int, seed: int, tag: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,6 +368,12 @@ def commit_stats(
     ``simulate_payoffs``. The last switch is the last stage at which the
     learner's action differs from the previous stage's (0 if it never
     switches); the final action is -1 when ``horizon`` is 0.
+
+    Stages are played in blocks (one stage, then ``_COMMIT_BLOCK``), and
+    after each block the learner is asked for ``absorbed()``. Once it names
+    the action it plays at every later stage, the trial's result is fixed
+    and the rest of the trial is not played, so no range check runs on
+    those stages for either player.
     """
     rows, cols = game.rows, game.cols
     last_switch = np.zeros(trials, dtype=np.int64)
@@ -367,24 +381,34 @@ def commit_stats(
     for t in range(trials):
         learner = learner_factory(derive_trial_seed(seed, t, f"{tag}-learner"))
         partner = partner_factory(derive_trial_seed(seed, t, f"{tag}-partner"))
-        ldec, pdec = learner.decide, partner.decide
-        lobs, pobs = learner.observe, partner.observe
         prev, sw = -1, 0
-        for n in range(horizon):
-            a = ldec()
-            if not 0 <= a < rows:
-                raise ContractViolation(
-                    f"alice strategy {learner.name!r} emitted action {a} at stage {n}"
-                )
-            b = pdec()
-            if not 0 <= b < cols:
-                raise ContractViolation(
-                    f"bob strategy {partner.name!r} emitted action {b} at stage {n}"
-                )
-            lobs(a, b)
-            pobs(a, b)
-            if a != prev:
-                sw, prev = n, a
+        lo, hi = 0, min(horizon, 1)
+        while lo < hi:
+            # read after each block: a fresh mixture binds its member at stage 0
+            ldec, pdec = learner.decide, partner.decide
+            lobs, pobs = learner.observe, partner.observe
+            for n in range(lo, hi):
+                a = ldec()
+                if not 0 <= a < rows:
+                    raise ContractViolation(
+                        f"alice strategy {learner.name!r} emitted action {a} at stage {n}"
+                    )
+                b = pdec()
+                if not 0 <= b < cols:
+                    raise ContractViolation(
+                        f"bob strategy {partner.name!r} emitted action {b} at stage {n}"
+                    )
+                lobs(a, b)
+                pobs(a, b)
+                if a != prev:
+                    sw, prev = n, a
+            fixed = learner.absorbed()
+            if fixed is not None:
+                # every later stage plays ``fixed``: a new action switches once more
+                if fixed != prev and hi < horizon:
+                    sw, prev = hi, fixed
+                break
+            lo, hi = hi, min(hi + _COMMIT_BLOCK, horizon)
         last_switch[t] = sw
         final_action[t] = prev
     return last_switch, final_action

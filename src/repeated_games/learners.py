@@ -176,7 +176,6 @@ class StrategicExperts(Strategy):
         self._phase = 0
         self._current = None
         self._remaining = 0
-        self.phase_ledger: list[dict] = []
 
     def _pick_expert(self) -> int:
         n = len(self.experts)
@@ -196,9 +195,6 @@ class StrategicExperts(Strategy):
         self._evals[k] += 1
         self._current = k
         self._remaining = max(1, int(self._horizon_rule(self._evals[k])))
-        self.phase_ledger.append(
-            {"phase": self._phase, "expert": k, "start": self._pos, "length": self._remaining}
-        )
 
     def decide(self) -> int:
         if self._remaining == 0:
@@ -226,7 +222,6 @@ class StrategicExperts(Strategy):
         c._sums = list(self._sums)
         c._counts = list(self._counts)
         c._evals = list(self._evals)
-        c.phase_ledger = list(self.phase_ledger)  # records are never mutated
         c.reseed(seed)
         return c
 
@@ -236,9 +231,13 @@ class RandomChoiceStrategy(Strategy):
     every call to it.
 
     ``probs`` defaults to uniform. The first member whose cumulative weight
-    exceeds the draw ``u ~ U[0, 1)`` is chosen. Used as a partner mixture,
-    as a coin-commit learner and, through ``MixedLearner``, as a
-    passive/active learner mixture.
+    exceeds the draw ``u ~ U[0, 1)`` is chosen. The draw is the first use of
+    the wrapper's stream, made by whichever of ``decide``, ``probs`` or
+    ``observe`` comes first. It binds the chosen member's ``decide``,
+    ``probs``, ``observe`` and ``absorbed`` onto the wrapper, so later calls
+    go straight to the member; the wrapper's ``_pos`` is the member's (0
+    before the draw). Used as a partner mixture, as a coin-commit learner
+    and, through ``MixedLearner``, as a passive/active learner mixture.
     """
 
     name = "random_choice"
@@ -258,13 +257,23 @@ class RandomChoiceStrategy(Strategy):
             raise ValueError("mixture probabilities must be in [0, 1]")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError("mixture probabilities must sum to 1")
-        super().__init__(seed)
+        # Strategy.__init__ without its stage cursor: ``_pos`` is the member's
+        Strategy.reseed(self, seed)
         self._strategies = strategies
         self._probs = probs
         self._chosen = None
 
+    @property
+    def _pos(self) -> int:
+        return 0 if self._chosen is None else self._chosen._pos
+
     def _member_seed(self, seed, k: int):
         return derive_trial_seed(seed, k, "mixture-member")
+
+    def _bind(self, member: Strategy) -> None:
+        self._chosen = member
+        self.decide, self.probs = member.decide, member.probs
+        self.observe, self.absorbed = member.observe, member.absorbed
 
     def _choose(self) -> Strategy:
         if self._chosen is None:
@@ -276,9 +285,10 @@ class RandomChoiceStrategy(Strategy):
                 if u < acc:
                     idx = j
                     break
-            self._chosen = self._strategies[idx]
+            self._bind(self._strategies[idx])
         return self._chosen
 
+    # used until the draw; _bind shadows them with the member's methods
     def decide(self) -> int:
         return self._choose().decide()
 
@@ -286,7 +296,6 @@ class RandomChoiceStrategy(Strategy):
         return self._choose().probs()
 
     def observe(self, a, b):
-        self._pos += 1
         self._choose().observe(a, b)
 
     def absorbed(self) -> int | None:
@@ -306,7 +315,7 @@ class RandomChoiceStrategy(Strategy):
         ]
         if self._chosen is not None:
             k = next(k for k, s in enumerate(self._strategies) if s is self._chosen)
-            c._chosen = c._strategies[k]
+            c._bind(c._strategies[k])
         return c
 
 

@@ -275,11 +275,13 @@ def _survival_times(continuations, ref_action, game: Game, sigma_cap: int, seed:
     """How long each continuation keeps playing ``ref_action`` vs uniform play.
 
     ``continuations`` are ``(j, learner)`` pairs, each learner already
-    positioned at the conditioning history; continuation ``j`` is given the
-    fresh partner stream ``j``. An absorbed learner (``Strategy.absorbed``)
-    plays no stage: it keeps ``ref_action`` for the whole budget or leaves it
-    at once. Returns a list of survival times, where ``sigma_cap`` means the
-    action never changed within budget.
+    positioned at the conditioning history; continuation ``j`` faces uniform
+    play drawn from the fresh stream ``j``: the bare buffered draws of a
+    ``UniformPartner`` on that seed (the constant 0 for a one-column game),
+    without building the partner. An absorbed learner
+    (``Strategy.absorbed``) plays no stage: it keeps ``ref_action`` for the
+    whole budget or leaves it at once. Returns a list of survival times,
+    where ``sigma_cap`` means the action never changed within budget.
     """
     times = []
     cols = game.cols
@@ -288,7 +290,11 @@ def _survival_times(continuations, ref_action, game: Game, sigma_cap: int, seed:
         if fixed is not None:
             times.append(sigma_cap if ref_action is None or fixed == ref_action else 0)
             continue
-        partner = UniformPartner(cols, derive_trial_seed(seed, j, "oracle-partner"))
+        if cols == 1:
+            draw = int  # one column, one action: int() is 0
+        else:
+            draw = _BlockInts(
+                np.random.default_rng(derive_trial_seed(seed, j, "oracle-partner")), cols)
         ref = ref_action
         t = 0
         for s in range(sigma_cap):
@@ -297,9 +303,7 @@ def _survival_times(continuations, ref_action, game: Game, sigma_cap: int, seed:
                 ref = a  # empty conditioning history: reference is own first action
             if a != ref:
                 break
-            b = partner.decide()
-            learner.observe(a, b)
-            partner.observe(a, b)
+            learner.observe(a, draw())
             t += 1
         times.append(t)
     return times

@@ -17,6 +17,7 @@ import repeated_games.harness  # noqa: F401
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -26,6 +27,18 @@ def test_every_workload_builds_instance_zero(tmp_path):
         workload = cls(lib, tmp_path)
         inp = workload.build(workloads.instance_seed(1, 0, name))
         assert isinstance(inp, dict) and inp, name
+
+
+def test_reference_instance_of_every_workload_passes_its_checks(tmp_path):
+    # what ``run.py --seed 1`` does first: any failed operation (it raised,
+    # its output check failed, or its digest differs from reference.json)
+    # makes the benchmark exit 1
+    reference = json.loads(run.REFERENCE.read_text())
+    for name, cls in sorted(workloads.WORKLOADS.items()):
+        ops = workloads.Ops()
+        run.run_instance(cls(lib, tmp_path), run.DEFAULT_SEED, 0, ops, [], reference[name])
+        assert ops.failed == 0, (name, ops.failures)
+        assert sorted(ops.digests) == sorted(reference[name]), name
 
 
 def test_active_exploiter_balances_the_learner_coins(tmp_path):

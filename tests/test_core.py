@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeated_games.core import (
+    _COMMIT_BLOCK,
     ContractViolation,
     Game,
     History,
@@ -17,7 +18,14 @@ from repeated_games.core import (
     rollout,
     simulate_payoffs,
 )
-from repeated_games.learners import FixedAction, PeriodicSwitcher
+from repeated_games.learners import (
+    ExpertSet,
+    ExploreThenCommit,
+    FixedAction,
+    MixedLearner,
+    PeriodicSwitcher,
+    StrategicExperts,
+)
 from repeated_games.partners import GrimTrigger, GrimTriggerSpec, UniformPartner
 
 
@@ -141,6 +149,80 @@ def test_commit_stats_last_switch_and_final_action():
     last, final = commit_stats(g, lambda s=None: FixedAction(2, 3, s),
                                lambda s=None: UniformPartner(3, s), 2, 10, 0, "t")
     assert last.tolist() == [0, 0] and final.tolist() == [2, 2]
+
+
+def _reference_commit_stats(game, learner_factory, partner_factory, trials, horizon, seed,
+                            tag):
+    """``commit_stats`` without the absorbed early exit: every stage is played."""
+    last, final = [], []
+    for t in range(trials):
+        learner = learner_factory(derive_trial_seed(seed, t, f"{tag}-learner"))
+        partner = partner_factory(derive_trial_seed(seed, t, f"{tag}-partner"))
+        prev, sw = -1, 0
+        for n in range(horizon):
+            a, b = learner.decide(), partner.decide()
+            learner.observe(a, b)
+            partner.observe(a, b)
+            if a != prev:
+                sw, prev = n, a
+        last.append(sw)
+        final.append(prev)
+    return last, final
+
+
+def _commit_both(learner_factory, horizon, trials=4, n=3, seed=5):
+    g = coordination_game(n)
+    args = (g, learner_factory, lambda s=None: UniformPartner(n, s), trials, horizon, seed, "t")
+    last, final = commit_stats(*args)
+    assert (last.tolist(), final.tolist()) == _reference_commit_stats(*args)
+    return final.tolist()
+
+
+def test_commit_stats_early_exit_matches_the_full_loop_for_etc():
+    g = coordination_game(3)
+    experts = ExpertSet.fixed_actions(3)
+    # T over every remainder of the poll block; with T % block == 1 a poll
+    # lands right after the last exploration stage, so the commit stage is
+    # the first one skipped
+    new_action_at_boundary = 0
+    for T in range(3, 3 + 2 * _COMMIT_BLOCK + 2):
+        # a horizon of T ends right at the commit
+        _commit_both(lambda s=None, T=T: ExploreThenCommit(g, experts, T, s), T)
+        finals = _commit_both(lambda s=None, T=T: ExploreThenCommit(g, experts, T, s), T + 70)
+        last_explored = experts.actions[-1]
+        if T % _COMMIT_BLOCK == 1:
+            new_action_at_boundary += sum(f != last_explored for f in finals)
+    assert new_action_at_boundary > 0
+    # horizons shorter than T, than the stages before the second poll, and zero
+    for horizon in (0, 1, 2, 10, _COMMIT_BLOCK + 1, 99):
+        _commit_both(lambda s=None: ExploreThenCommit(g, experts, 100, s), horizon)
+
+
+def test_commit_stats_early_exit_matches_the_full_loop_for_other_learners():
+    g = coordination_game(3)
+    experts = ExpertSet.fixed_actions(3)
+
+    def mixed(s=None):
+        return MixedLearner(ExploreThenCommit(g, experts, 9),
+                            StrategicExperts(g, experts, 0.3, None, s), 0.5, s)
+
+    for horizon in (0, 1, 7, 300):
+        _commit_both(mixed, horizon, trials=12)
+        _commit_both(lambda s=None: FixedAction(1, 3, s), horizon)
+        _commit_both(lambda s=None: PeriodicSwitcher(3, 5, s), horizon)
+
+
+def test_commit_stats_stops_playing_once_the_learner_is_absorbed():
+    g = coordination_game(3)
+    partners = []
+
+    def uniform(s=None):
+        partners.append(UniformPartner(3, s))
+        return partners[-1]
+
+    commit_stats(g, lambda s=None: ExploreThenCommit(g, ExpertSet.fixed_actions(3), 9, s),
+                 uniform, 3, 5000, 0, "t")
+    assert all(p._pos <= 1 + _COMMIT_BLOCK for p in partners)
 
 
 def test_commit_stats_checks_both_players_actions():

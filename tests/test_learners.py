@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from repeated_games.core import History, coordination_game, derive_trial_seed
+from repeated_games.core import History, coordination_game, derive_trial_seed, simulate_payoffs
 from repeated_games.learners import (
     BernoulliSwitcher,
     ExpertSet,
@@ -9,6 +11,7 @@ from repeated_games.learners import (
     FixedAction,
     MixedLearner,
     PeriodicSwitcher,
+    RandomChoiceStrategy,
     StrategicExperts,
 )
 from repeated_games.partners import UniformPartner
@@ -69,9 +72,22 @@ def test_etc_commits_to_argmax_with_lowest_tie():
     assert etc2.committed_expert == 1
 
 
+class LedgerExperts(StrategicExperts):
+    """Strategic experts that record every phase they open."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.phase_ledger = []
+
+    def _begin_phase(self):
+        super()._begin_phase()
+        self.phase_ledger.append(
+            {"expert": self._current, "start": self._pos, "length": self._remaining})
+
+
 def test_strategic_experts_phase_ledger_is_consistent():
     g = coordination_game(3)
-    se = StrategicExperts(g, ExpertSet.fixed_actions(3), 0.2, None, seed=5)
+    se = LedgerExperts(g, ExpertSet.fixed_actions(3), 0.2, None, seed=5)
     actions = _drive(se, UniformPartner(3, 2), 500)
     ledger = se.phase_ledger
     assert ledger[0]["start"] == 0
@@ -101,7 +117,7 @@ def test_strategic_experts_switches_persistently():
 
 def test_strategic_experts_epsilon_callable():
     g = coordination_game(2)
-    se = StrategicExperts(g, ExpertSet.fixed_actions(2), lambda k: 1.0, None, seed=1)
+    se = LedgerExperts(g, ExpertSet.fixed_actions(2), lambda k: 1.0, None, seed=1)
     _drive(se, UniformPartner(2, 2), 200)
     experts_seen = {rec["expert"] for rec in se.phase_ledger}
     assert experts_seen == {0, 1}
@@ -153,6 +169,92 @@ def test_mixed_learner_keeps_its_member_seed_tags():
     c = m.clone(5)
     assert [s._seed for s in c._strategies] == [
         derive_trial_seed(5, 1, "mixed-active"), derive_trial_seed(5, 0, "mixed-passive")]
+
+
+G3 = coordination_game(3)
+E3 = ExpertSet.fixed_actions(3)
+
+
+def _mixed(s=None):
+    return MixedLearner(ExploreThenCommit(G3, E3, 9, s),
+                        StrategicExperts(G3, E3, 0.3, None, s), 0.5, s)
+
+
+def _choice(s=None):
+    return RandomChoiceStrategy(
+        [StrategicExperts(G3, E3, 0.3, None, s), PeriodicSwitcher(3, 2, s),
+         ExploreThenCommit(G3, E3, 6, s)], [0.4, 0.3, 0.3], s)
+
+
+MIXTURES = {"mixed": _mixed, "random-choice": _choice}
+METHODS = ("decide", "probs", "observe", "absorbed")
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_drawn_mixture_calls_its_member_directly(name):
+    for seed in range(6):
+        m = MIXTURES[name](seed)
+        assert m._pos == 0 and all(n not in vars(m) for n in METHODS)
+        _drive(m, UniformPartner(3, seed), 15)
+        assert all(getattr(m, n).__self__ is m._chosen for n in METHODS)
+        assert m._pos == m._chosen._pos == 15
+
+
+def _played(name, seed, stages):
+    """A fresh mixture after ``stages`` stages against partner stream 1."""
+    m = MIXTURES[name](seed)
+    _drive(m, UniformPartner(3, 1), stages)
+    return m
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_deepcopy_of_a_drawn_mixture_is_bound_to_its_own_member(name):
+    m = _played(name, 3, 12)
+    c = copy.deepcopy(m)
+    assert c._chosen is not m._chosen
+    assert all(getattr(c, n).__self__ is c._chosen for n in METHODS)
+    assert _drive(c, UniformPartner(3, 2), 40) == _drive(_played(name, 3, 12),
+                                                         UniformPartner(3, 2), 40)
+    # playing the copy leaves the original where it was
+    assert m._pos == 12
+    assert _drive(m, UniformPartner(3, 4), 30) == _drive(_played(name, 3, 12),
+                                                         UniformPartner(3, 4), 30)
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_mixture_replay_gives_the_live_distribution_at_every_prefix(name):
+    for seed in range(4):
+        live, partner = MIXTURES[name](seed), UniformPartner(3, 10 + seed)
+        h, dists = History(), []
+        for _ in range(60):
+            dists.append(live.probs().tolist())
+            a, b = live.decide(), partner.decide()
+            live.observe(a, b)
+            partner.observe(a, b)
+            h.append(a, b)
+        fresh = MIXTURES[name](seed)
+        for k in range(len(h) + 1):
+            prefix = History(zip(h.alice[:k], h.bob[:k]))
+            expected = dists[k] if k < len(dists) else live.probs().tolist()
+            assert fresh.action_distribution(prefix).tolist() == expected
+        assert fresh._pos == len(h)
+
+
+def test_simulate_payoffs_on_fresh_mixtures_matches_per_stage_lookups():
+    for seed in range(6):
+        pi, phi = _mixed(seed), _choice(100 + seed)
+        h = History()
+        pays = simulate_payoffs(G3, pi, phi, 200, h)
+        pi, phi = _mixed(seed), _choice(100 + seed)
+        ref_pays, ref_h = [], History()
+        for _ in range(200):
+            a, b = pi.decide(), phi.decide()
+            ref_pays.append(G3._payoff_rows[a][b])
+            pi.observe(a, b)
+            phi.observe(a, b)
+            ref_h.append(a, b)
+        assert pays.tolist() == ref_pays
+        assert h.pairs() == ref_h.pairs()
 
 
 def test_periodic_switcher_cycles():
