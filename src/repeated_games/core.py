@@ -174,10 +174,10 @@ class Strategy:
 
     Implementations are incremental for speed: the simulator calls
     ``decide()`` for the current stage and ``observe(a, b)`` after each
-    stage. The history-based interface ``act(history)`` /
-    ``action_distribution(history)`` syncs an internal cursor against the
-    supplied history, so a fresh instance replayed over a recorded history
-    reproduces its distributions at every prefix (the replay contract).
+    stage. The history-based interface ``action_distribution(history)``
+    syncs an internal cursor against the supplied history, so a fresh
+    instance replayed over a recorded history reproduces its distributions
+    at every prefix (the replay contract).
 
     Output distributions depend only on the observed history and the
     strategy's own seed; never on wall clock, trial index, or partner
@@ -216,11 +216,33 @@ class Strategy:
         """
         return None
 
-    # -- shared machinery ------------------------------------------------------
-    def reset(self) -> None:
-        """Optional: return to the fresh, pre-game state with the original seed."""
-        raise NotImplementedError(f"{type(self).__name__} does not support reset")
+    def respond(self, a: int, n: int) -> np.ndarray | None:
+        """This strategy's actions at the next ``n`` stages if Alice plays
+        ``a`` at each of them, as an int array; None if it cannot say.
 
+        An answer consumes the random stream exactly as ``n`` calls of
+        ``decide()`` with ``observe(a, ·)`` between them would, but observes
+        nothing itself: the caller follows it with ``observe_many``. None,
+        the default, draws nothing and is always safe. The stage loop asks
+        once the learner is absorbed at ``a``.
+        """
+        return None
+
+    def observe_many(self, alice, bob) -> None:
+        """``observe(alice[i], bob[i])`` for every i, in order.
+
+        ``alice`` and ``bob`` are equal-length lists of ints. An override
+        must leave the same state as those calls: the same ``_pos``, and the
+        same later actions and draws. It may skip work the stages cannot
+        affect: once ``absorbed()`` names an action, nothing observed changes
+        what the strategy plays, so ``FixedAction`` and a committed
+        ``ExploreThenCommit`` only advance ``_pos``.
+        """
+        obs = self.observe
+        for a, b in zip(alice, bob):
+            obs(a, b)
+
+    # -- shared machinery ------------------------------------------------------
     def reseed(self, seed) -> None:
         """Replace the random stream without touching learned state."""
         self._seed = seed
@@ -241,15 +263,11 @@ class Strategy:
         n = len(history)
         if n < self._pos:
             raise ContractViolation(
-                f"{self.name}: history shorter than already-observed prefix; reset first"
+                f"{self.name}: history shorter than already-observed prefix; "
+                "replay it on a fresh instance"
             )
         for i in range(self._pos, n):
             self.observe(history.alice[i], history.bob[i])
-
-    def act(self, history: History) -> tuple[np.ndarray, int]:
-        """Distribution plus a sample for the stage following ``history``."""
-        self._sync(history)
-        return self.probs(), self.decide()
 
     def action_distribution(self, history: History) -> np.ndarray:
         self._sync(history)
@@ -289,6 +307,9 @@ class Trajectory:
         return Trajectory(game, np.asarray(a, int), np.asarray(b, int), np.asarray(u, float))
 
 
+_POLL_BLOCK = 64  # stages between absorbed() polls in both loops
+
+
 def simulate_payoffs(
     game: Game, pi: Strategy, phi: Strategy, horizon: int, history: History | None = None
 ) -> np.ndarray:
@@ -296,9 +317,22 @@ def simulate_payoffs(
 
     This is the hot loop: strategies are driven through their incremental
     decide/observe interface and all bookkeeping stays in local variables.
-    The methods are read again after stage 0, where a fresh mixture draws
-    its member and binds the member's methods (``RandomChoiceStrategy``).
-    When ``history`` is given, each stage's joint action is appended to it.
+    Stages are played in blocks: stage 0, then ``_POLL_BLOCK`` at a time. The
+    methods are read again after each block, so a fresh mixture that draws
+    its member at stage 0 and binds the member's methods
+    (``RandomChoiceStrategy``) is called directly from then on. When
+    ``history`` is given, each stage's joint action is appended to it.
+
+    After each block, while at least one more full block remains, the
+    learner is asked for ``absorbed()``. Once it names the action ``a`` it
+    plays at every later stage, the partner is asked once for
+    ``respond(a, rest)``. An answer fills the rest of the trial in one numpy
+    step: ``a`` and the whole answer array are range-checked (the error
+    names the first bad stage, as the loop would), the payoffs are read from
+    ``game.payoff[a]`` (the same doubles the loop reads), and both
+    strategies take the stages through ``observe_many``. A partner that
+    cannot say (None) plays the rest in one block. Short remainders are
+    never polled: below one block the per-stage loop is as fast.
     """
     pay = game._payoff_rows
     rows, cols = game.rows, game.cols
@@ -306,8 +340,8 @@ def simulate_payoffs(
     record = history is not None
     if record:
         arec, brec = history.alice.append, history.bob.append
-    lo = 0
-    for hi in (min(horizon, 1), horizon):
+    lo, hi = 0, min(horizon, 1)
+    while lo < hi:
         pdec, qdec = pi.decide, phi.decide
         pobs, qobs = pi.observe, phi.observe
         for n in range(lo, hi):
@@ -327,7 +361,33 @@ def simulate_payoffs(
             if record:
                 arec(a)
                 brec(b)
-        lo = hi
+        lo, hi = hi, horizon
+        if horizon - lo < _POLL_BLOCK:
+            continue
+        a = pi.absorbed()
+        if a is None:
+            hi = lo + _POLL_BLOCK
+            continue
+        bs = phi.respond(a, horizon - lo)
+        if bs is None:
+            continue
+        if not 0 <= a < rows:
+            raise ContractViolation(
+                f"alice strategy {pi.name!r} emitted action {a} at stage {lo}"
+            )
+        if bs.min() < 0 or bs.max() >= cols:
+            i = int(np.flatnonzero((bs < 0) | (bs >= cols))[0])
+            raise ContractViolation(
+                f"bob strategy {phi.name!r} emitted action {bs[i]} at stage {lo + i}"
+            )
+        out[lo:] = game.payoff[a][bs]
+        alice, bob = [a] * (horizon - lo), bs.tolist()
+        pi.observe_many(alice, bob)
+        phi.observe_many(alice, bob)
+        if record:
+            history.alice += alice
+            history.bob += bob
+        break
     return out
 
 
@@ -354,9 +414,6 @@ def rollout(game: Game, pi: Strategy, phi: Strategy, horizon: int, seed=None) ->
     )
 
 
-_COMMIT_BLOCK = 64  # stages between absorbed() polls in commit_stats
-
-
 def commit_stats(
     game: Game, learner_factory, partner_factory, trials: int, horizon: int, seed: int, tag: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +426,7 @@ def commit_stats(
     learner's action differs from the previous stage's (0 if it never
     switches); the final action is -1 when ``horizon`` is 0.
 
-    Stages are played in blocks (one stage, then ``_COMMIT_BLOCK``), and
+    Stages are played in blocks (one stage, then ``_POLL_BLOCK``), and
     after each block the learner is asked for ``absorbed()``. Once it names
     the action it plays at every later stage, the trial's result is fixed
     and the rest of the trial is not played, so no range check runs on
@@ -408,7 +465,7 @@ def commit_stats(
                 if fixed != prev and hi < horizon:
                     sw, prev = hi, fixed
                 break
-            lo, hi = hi, min(hi + _COMMIT_BLOCK, horizon)
+            lo, hi = hi, min(hi + _POLL_BLOCK, horizon)
         last_switch[t] = sw
         final_action[t] = prev
     return last_switch, final_action

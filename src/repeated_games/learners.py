@@ -54,8 +54,11 @@ class FixedAction(Strategy):
     def absorbed(self) -> int:
         return self.action
 
-    def reset(self):
-        self._pos = 0
+    def respond(self, a, n):
+        return np.full(n, self.action)
+
+    def observe_many(self, alice, bob):
+        self._pos += len(alice)
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,7 @@ class ExploreThenCommit(Strategy):
         self.experts = experts
         self.T = T
         self._block = T // len(experts)
+        self._last_expert = len(experts) - 1
         self._sums = [0.0] * len(experts)
         self._counts = [0] * len(experts)
         self._committed = None
@@ -102,8 +106,7 @@ class ExploreThenCommit(Strategy):
     def _current_expert(self) -> int:
         if self._committed is not None:
             return self._committed
-        k = min(self._pos // self._block, len(self.experts) - 1)
-        return k
+        return min(self._pos // self._block, self._last_expert)
 
     def decide(self) -> int:
         return self.experts.actions[self._current_expert()]
@@ -129,6 +132,12 @@ class ExploreThenCommit(Strategy):
         if self._committed is None:
             return None
         return self.experts.actions[self._committed]
+
+    def observe_many(self, alice, bob):
+        if self._committed is None:
+            super().observe_many(alice, bob)
+        else:
+            self._pos += len(alice)
 
     def clone(self, seed) -> "ExploreThenCommit":
         c = copy.copy(self)
@@ -234,10 +243,11 @@ class RandomChoiceStrategy(Strategy):
     exceeds the draw ``u ~ U[0, 1)`` is chosen. The draw is the first use of
     the wrapper's stream, made by whichever of ``decide``, ``probs`` or
     ``observe`` comes first. It binds the chosen member's ``decide``,
-    ``probs``, ``observe`` and ``absorbed`` onto the wrapper, so later calls
-    go straight to the member; the wrapper's ``_pos`` is the member's (0
-    before the draw). Used as a partner mixture, as a coin-commit learner
-    and, through ``MixedLearner``, as a passive/active learner mixture.
+    ``probs``, ``observe``, ``absorbed``, ``respond`` and ``observe_many``
+    onto the wrapper, so later calls go straight to the member; the
+    wrapper's ``_pos`` is the member's (0 before the draw). Used as a
+    partner mixture, as a coin-commit learner and, through ``MixedLearner``,
+    as a passive/active learner mixture.
     """
 
     name = "random_choice"
@@ -274,6 +284,7 @@ class RandomChoiceStrategy(Strategy):
         self._chosen = member
         self.decide, self.probs = member.decide, member.probs
         self.observe, self.absorbed = member.observe, member.absorbed
+        self.respond, self.observe_many = member.respond, member.observe_many
 
     def _choose(self) -> Strategy:
         if self._chosen is None:

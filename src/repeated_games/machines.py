@@ -129,10 +129,6 @@ class FSMBehavioral(Strategy):
         opp = b if self.side == "alice" else a
         self._state = self.machine.transition[self._state][opp]
 
-    def reset(self):
-        self._state = self.machine.initial
-        self._pos = 0
-
 
 def _frac_payoff(game: Game):
     return [[Fraction(x).limit_denominator(10**12) for x in row] for row in game._payoff_rows]

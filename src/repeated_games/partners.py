@@ -58,6 +58,24 @@ class _BlockInts:
         self._i = i + 1
         return buf[i]
 
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` draws as an int array: exactly what ``k`` calls return.
+
+        The buffered tail comes first, then whole 512-draw blocks, each its
+        own ``integers`` call as in ``__call__``; the unused part of the last
+        block stays behind as the buffer.
+        """
+        i, buf = self._i, self._buf
+        parts = [np.array(buf[i:i + k], dtype=np.int64)]
+        need = k - len(parts[0])
+        self._i = i + len(parts[0])
+        while need > 0:
+            block = self.rng.integers(0, self.n, size=512)
+            parts.append(block[:need])
+            self._buf, self._i = block[need:].tolist(), 0
+            need -= 512
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
 
 class UniformPartner(Strategy):
     """Plays uniformly at random over N actions at every history."""
@@ -87,6 +105,14 @@ class UniformPartner(Strategy):
 
     def observe(self, a, b):
         self._pos += 1
+
+    def respond(self, a, n):
+        if self.n == 1:
+            return np.zeros(n, dtype=np.int64)
+        return self._draw.take(n)
+
+    def observe_many(self, alice, bob):
+        self._pos += len(alice)
 
 
 @dataclass(frozen=True)
@@ -119,9 +145,19 @@ class GrimTrigger(Strategy):
         if a != self.spec.expected_alice_action:
             self._triggered = True
 
-    def reset(self):
-        self._triggered = False
-        self._pos = 0
+    def respond(self, a, n):
+        spec = self.spec
+        # stage 0 follows the current state; later ones have also seen ``a``
+        later = self._triggered or a != spec.expected_alice_action
+        out = np.full(n, spec.punish_action if later else spec.cooperate_action)
+        if n:
+            out[0] = self.decide()
+        return out
+
+    def observe_many(self, alice, bob):
+        self._pos += len(alice)
+        if alice.count(self.spec.expected_alice_action) != len(alice):
+            self._triggered = True
 
 
 @dataclass(frozen=True)
@@ -170,6 +206,23 @@ class SwitchingPartner(Strategy):
         self._pos += 1
         self._last_alice = a
 
+    def respond(self, a, n):
+        # stage 0 mirrors on the real last action; stage i >= 1 has seen ``a``
+        # and mirrors from stage tau on exactly when ``a`` is the target
+        target = self.spec.target_action
+        first = max(1, self.spec.tau - self._pos) if a == target else n
+        first = min(first, n)  # stages [0 or 1, first) draw, [first, n) mirror
+        out = np.full(n, target)
+        if n:
+            skip = 1 if self._mirroring() else 0
+            out[skip:first] = self._draw.take(first - skip)
+        return out
+
+    def observe_many(self, alice, bob):
+        if alice:
+            self._pos += len(alice)
+            self._last_alice = alice[-1]
+
 
 class FictitiousPlayPartner(Strategy):
     """Best response to the empirical distribution of Alice's past actions.
@@ -208,11 +261,6 @@ class FictitiousPlayPartner(Strategy):
                 best, arg = s, j
         scores[0] += row[0]
         self._current = arg
-
-    def reset(self):
-        self._scores = [0.0] * self.game.cols
-        self._current = 0
-        self._pos = 0
 
 
 class StationaryPartner(Strategy):

@@ -2,84 +2,31 @@
 
 Whenever a strategy reports an absorbed action ``a``, it must play ``a``
 at every later stage, whatever it observes: the deviation oracle skips
-simulating such learners and scores them from ``a`` alone.
+simulating such learners and scores them from ``a`` alone, and the stage
+loop fills the rest of an absorbed learner's trial from the partner's
+``respond(a, n)`` and advances both sides with ``observe_many``.
 """
 
 import numpy as np
 import pytest
+from strategy_zoo import EXPERTS, GAME, N, T, ZOO, fresh, strategy_classes
 
-from repeated_games import learners, machines, partners
-from repeated_games.core import Strategy, coordination_game, point_mass
+from repeated_games.core import Strategy, point_mass
 from repeated_games.learners import (
-    BernoulliSwitcher,
-    ExpertSet,
     ExploreThenCommit,
     FixedAction,
     MixedLearner,
-    PeriodicSwitcher,
     RandomChoiceStrategy,
-    StrategicExperts,
 )
-from repeated_games.machines import FSMBehavioral, fsm_encode
-from repeated_games.partners import (
-    FictitiousPlayPartner,
-    GrimTrigger,
-    GrimTriggerSpec,
-    OracleParams,
-    PredictiveExploiter,
-    StationaryPartner,
-    SwitchingPartner,
-    SwitchingSpec,
-    UniformPartner,
-)
+from repeated_games.partners import UniformPartner
 
-N = 3
-GAME = coordination_game(N)
-EXPERTS = ExpertSet.fixed_actions(N)
-T = 6  # exploration length of the ETC cases
 PREFIX = 30  # stages over which absorption is looked for
 CHECK = 200  # stages an absorbed action must hold for
 SEEDS = range(6)
 
 
-def _mixed(seed=None):
-    return MixedLearner(ExploreThenCommit(GAME, EXPERTS, T, 1),
-                        StrategicExperts(GAME, EXPERTS, 0.3, None, 2), 0.5, seed)
-
-
-# name -> (strategy class, side it plays, factory)
-ZOO = {
-    "fixed": (FixedAction, "alice", lambda s: FixedAction(1, N, s)),
-    "etc": (ExploreThenCommit, "alice", lambda s: ExploreThenCommit(GAME, EXPERTS, T, s)),
-    "strategic": (StrategicExperts, "alice",
-                  lambda s: StrategicExperts(GAME, EXPERTS, 0.3, None, s)),
-    "mixed": (MixedLearner, "alice", _mixed),
-    "periodic": (PeriodicSwitcher, "alice", lambda s: PeriodicSwitcher(N, 4, s)),
-    "bernoulli": (BernoulliSwitcher, "alice", lambda s: BernoulliSwitcher(N, 0.3, s)),
-    "random-choice": (RandomChoiceStrategy, "alice", lambda s: RandomChoiceStrategy(
-        [FixedAction(0, N), FixedAction(2, N), StrategicExperts(GAME, EXPERTS, 0.3)],
-        None, s)),
-    "uniform": (UniformPartner, "bob", lambda s: UniformPartner(N, s)),
-    "grim": (GrimTrigger, "bob", lambda s: GrimTrigger(GrimTriggerSpec(0, 0, 2, N), s)),
-    "switching": (SwitchingPartner, "bob",
-                  lambda s: SwitchingPartner(SwitchingSpec(4, 1, N), s)),
-    "fictitious": (FictitiousPlayPartner, "bob", lambda s: FictitiousPlayPartner(GAME, s)),
-    "stationary": (StationaryPartner, "bob", lambda s: StationaryPartner([0.2, 0.5, 0.3], s)),
-    "exploiter": (PredictiveExploiter, "bob", lambda s: PredictiveExploiter(
-        _mixed, GAME, 0.1, OracleParams(trials=4, sigma_cap=30, seed=3), s)),
-    "fsm": (FSMBehavioral, "bob",
-            lambda s: FSMBehavioral(fsm_encode("mirror", n_actions=N), N, "bob", s)),
-}
-
-
 def test_zoo_covers_every_strategy_class():
-    defined = {
-        obj
-        for mod in (learners, partners, machines)
-        for obj in vars(mod).values()
-        if isinstance(obj, type) and issubclass(obj, Strategy) and obj.__module__ == mod.__name__
-    }
-    assert defined == {cls for cls, _, _ in ZOO.values()}
+    assert strategy_classes() == {cls for cls, _, _ in ZOO.values()}
 
 
 def _absorption(strategy, side, seed):
@@ -119,9 +66,9 @@ def test_absorbed_action_is_played_forever(name):
 def test_absorbing_cases_do_absorb():
     # the honesty checks above are not vacuous for the classes that override
     stages = {name: [_absorption(ZOO[name][2](100 + s), ZOO[name][1], s) for s in SEEDS]
-              for name in ("fixed", "etc", "mixed", "random-choice")}
+              for name in ("fixed", "etc", "mixed", "coin-commit")}
     assert all(f is not None for name in ("fixed", "etc") for f in stages[name])
-    for name in ("mixed", "random-choice"):
+    for name in ("mixed", "coin-commit"):
         assert any(f is None for f in stages[name]) and any(f is not None for f in stages[name])
 
 
@@ -157,3 +104,70 @@ def test_fixed_action_is_always_absorbed():
         b = partner.decide()
         fixed.observe(fixed.decide(), b)
         partner.observe(2, b)
+
+
+# -- respond / observe_many: the partner's side of the stage loop's fast path --
+
+def _pair_at(name, prefix, seed):
+    """Two equal instances of zoo case ``name``, each played ``prefix``
+    stages on its own side against an equally seeded uniform partner."""
+    _, side, make = ZOO[name]
+    twins = []
+    for _ in range(2):
+        strategy, other = fresh(make, 100 + seed), UniformPartner(N, seed)
+        pi, phi = (strategy, other) if side == "alice" else (other, strategy)
+        for _ in range(prefix):
+            a, b = pi.decide(), phi.decide()
+            pi.observe(a, b)
+            phi.observe(a, b)
+        twins.append(strategy)
+    return twins
+
+
+def _stepped(strategy, a, n):
+    """``strategy``'s actions over ``n`` stages at which Alice plays ``a``."""
+    bs = []
+    for _ in range(n):
+        bs.append(strategy.decide())
+        strategy.observe(a, bs[-1])
+    return bs
+
+
+def test_respond_and_observe_many_match_decide_and_observe():
+    answered = set()
+    for name, (cls, _, _) in sorted(ZOO.items()):
+        for prefix in (0, 2, 9):
+            for seed in range(4):  # both mixtures draw each kind of member
+                for a in range(N):
+                    for n in (0, 1, 5, 700):
+                        bulk, stepped = _pair_at(name, prefix, seed)
+                        bs = bulk.respond(a, n)
+                        expect = _stepped(stepped, a, n)
+                        if bs is None:
+                            # cannot say, and drew nothing
+                            assert _stepped(bulk, a, n) == expect
+                        else:
+                            answered.add(cls)
+                            assert isinstance(bs, np.ndarray) and bs.dtype.kind == "i"
+                            assert bs.tolist() == expect, (name, prefix, seed, a, n)
+                            bulk.observe_many([a] * n, bs.tolist())
+                        assert bulk._pos == stepped._pos == prefix + n
+                        assert _stepped(bulk, a, 50) == _stepped(stepped, a, 50)
+                        assert _stepped(bulk, 0, 50) == _stepped(stepped, 0, 50)
+    overriding = {cls for cls in strategy_classes() if cls.respond is not Strategy.respond}
+    # a mixture answers through its drawn member (RandomChoiceStrategy._bind)
+    assert answered == overriding | {RandomChoiceStrategy}
+
+
+def test_observe_many_matches_observe_on_mixed_histories():
+    rng = np.random.default_rng(0)
+    for name in sorted(ZOO):
+        for length in (0, 1, 40):
+            alice = rng.integers(0, N, size=length).tolist()
+            bob = rng.integers(0, N, size=length).tolist()
+            bulk, stepped = _pair_at(name, 3, 0)
+            bulk.observe_many(alice, bob)
+            for a, b in zip(alice, bob):
+                stepped.observe(a, b)
+            assert bulk._pos == stepped._pos
+            assert _stepped(bulk, 1, 30) == _stepped(stepped, 1, 30), name

@@ -5,68 +5,13 @@ import types
 
 import numpy as np
 import pytest
+from strategy_zoo import GAME, N, ZOO, strategy_classes
 
-from repeated_games import learners, machines, partners
-from repeated_games.core import History, Strategy, coordination_game, simulate_payoffs
-from repeated_games.learners import (
-    BernoulliSwitcher,
-    ExpertSet,
-    ExploreThenCommit,
-    FixedAction,
-    MixedLearner,
-    PeriodicSwitcher,
-    RandomChoiceStrategy,
-    StrategicExperts,
-)
-from repeated_games.machines import FSMBehavioral, fsm_encode
-from repeated_games.partners import (
-    FictitiousPlayPartner,
-    GrimTrigger,
-    GrimTriggerSpec,
-    OracleParams,
-    PredictiveExploiter,
-    StationaryPartner,
-    SwitchingPartner,
-    SwitchingSpec,
-    UniformPartner,
-)
+from repeated_games.core import History, Strategy, simulate_payoffs
+from repeated_games.learners import ExploreThenCommit, MixedLearner, StrategicExperts
+from repeated_games.partners import UniformPartner
 
-N = 3
-GAME = coordination_game(N)
-EXPERTS = ExpertSet.fixed_actions(N)
 NEXT = 60  # stages compared after the clone
-
-
-def _mixed(p):
-    def make(seed=None):
-        return MixedLearner(ExploreThenCommit(GAME, EXPERTS, 6, 1),
-                            StrategicExperts(GAME, EXPERTS, 0.3, None, 2), p, seed)
-    return make
-
-
-# name -> (strategy class, side it plays, factory)
-ZOO = {
-    "fixed": (FixedAction, "alice", lambda s: FixedAction(1, N, s)),
-    "etc": (ExploreThenCommit, "alice", lambda s: ExploreThenCommit(GAME, EXPERTS, 6, s)),
-    "strategic": (StrategicExperts, "alice",
-                  lambda s: StrategicExperts(GAME, EXPERTS, 0.3, None, s)),
-    "mixed-active": (MixedLearner, "alice", _mixed(1.0)),
-    "mixed-passive": (MixedLearner, "alice", _mixed(0.0)),
-    "periodic": (PeriodicSwitcher, "alice", lambda s: PeriodicSwitcher(N, 4, s)),
-    "bernoulli": (BernoulliSwitcher, "alice", lambda s: BernoulliSwitcher(N, 0.3, s)),
-    "uniform": (UniformPartner, "bob", lambda s: UniformPartner(N, s)),
-    "grim": (GrimTrigger, "bob", lambda s: GrimTrigger(GrimTriggerSpec(0, 0, 2, N), s)),
-    "switching": (SwitchingPartner, "bob",
-                  lambda s: SwitchingPartner(SwitchingSpec(4, 1, N), s)),
-    "fictitious": (FictitiousPlayPartner, "bob", lambda s: FictitiousPlayPartner(GAME, s)),
-    "stationary": (StationaryPartner, "bob", lambda s: StationaryPartner([0.2, 0.5, 0.3], s)),
-    "random-choice": (RandomChoiceStrategy, "bob", lambda s: RandomChoiceStrategy(
-        [UniformPartner(N), StrategicExperts(GAME, EXPERTS, 0.3)], None, s)),
-    "exploiter": (PredictiveExploiter, "bob", lambda s: PredictiveExploiter(
-        _mixed(0.5), GAME, 0.1, OracleParams(trials=4, sigma_cap=30, seed=3), s)),
-    "fsm": (FSMBehavioral, "bob",
-            lambda s: FSMBehavioral(fsm_encode("mirror", n_actions=N), N, "bob", s)),
-}
 
 
 def _play(strategy, side, stages, seed):
@@ -100,13 +45,7 @@ def _state(x):
 
 
 def test_zoo_covers_every_strategy_class():
-    defined = {
-        obj
-        for mod in (learners, partners, machines)
-        for obj in vars(mod).values()
-        if isinstance(obj, type) and issubclass(obj, Strategy) and obj.__module__ == mod.__name__
-    }
-    assert defined == {cls for cls, _, _ in ZOO.values()}
+    assert strategy_classes() == {cls for cls, _, _ in ZOO.values()}
 
 
 def test_oracle_pool_learners_override_clone():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategy_zoo import EXPERTS, GAME, N, ZOO, fresh
 
 from repeated_games.core import (
-    _COMMIT_BLOCK,
+    _POLL_BLOCK,
     ContractViolation,
     Game,
     History,
@@ -26,7 +27,13 @@ from repeated_games.learners import (
     PeriodicSwitcher,
     StrategicExperts,
 )
-from repeated_games.partners import GrimTrigger, GrimTriggerSpec, UniformPartner
+from repeated_games.partners import (
+    GrimTrigger,
+    GrimTriggerSpec,
+    SwitchingPartner,
+    SwitchingSpec,
+    UniformPartner,
+)
 
 
 def test_example1_game_payoffs():
@@ -128,6 +135,107 @@ def test_rollout_is_bit_exact_reproducible():
     assert not np.array_equal(t1.bob, t3.bob)
 
 
+def _reference_simulate(game, pi, phi, horizon, history):
+    """``simulate_payoffs`` without the absorbed poll: every stage is played."""
+    out = np.empty(horizon)
+    for n in range(horizon):
+        a = pi.decide()
+        if not 0 <= a < game.rows:
+            raise ContractViolation(f"alice strategy {pi.name!r} emitted action {a} at stage {n}")
+        b = phi.decide()
+        if not 0 <= b < game.cols:
+            raise ContractViolation(f"bob strategy {phi.name!r} emitted action {b} at stage {n}")
+        out[n] = game._payoff_rows[a][b]
+        pi.observe(a, b)
+        phi.observe(a, b)
+        history.append(a, b)
+    return out
+
+
+FAST_LEARNERS = {
+    "fixed": ZOO["fixed"][2],
+    **{f"etc-{T}": (lambda s, T=T: ExploreThenCommit(GAME, EXPERTS, T, s))
+       for T in (3, 63, 64, 65, 130)},
+    "mixed": ZOO["mixed"][2],
+    "coin-commit": ZOO["coin-commit"][2],
+}
+FAST_PARTNERS = {
+    "uniform-1": lambda s: UniformPartner(1, s),
+    "uniform": ZOO["uniform"][2],
+    # tau before and after each ETC commit, targets on and off the committed action
+    **{f"switching-{tau}-{target}":
+       (lambda s, tau=tau, target=target: SwitchingPartner(SwitchingSpec(tau, target, N), s))
+       for tau in (0, 5, 100, 700) for target in range(N)},
+    "grim-triggered": ZOO["grim"][2],
+    "grim-kept": lambda s: GrimTrigger(GrimTriggerSpec(1, 0, 2, N), s),
+    "fixed": lambda s: FixedAction(2, N, s),
+    "random-choice": ZOO["random-choice"][2],
+    "fictitious": ZOO["fictitious"][2],  # cannot respond: the loop plays on
+}
+FAST_HORIZONS = (0, 1, 2, _POLL_BLOCK, _POLL_BLOCK + 1, _POLL_BLOCK + 2, 2 * _POLL_BLOCK + 1,
+                 1000)
+
+
+@pytest.mark.parametrize("learner", sorted(FAST_LEARNERS))
+def test_simulate_payoffs_fast_path_matches_the_stage_loop(learner):
+    for partner, make_partner in sorted(FAST_PARTNERS.items()):
+        for horizon in FAST_HORIZONS:
+            for seed in range(3):
+                def pair(seed=seed):
+                    return (fresh(FAST_LEARNERS[learner], 10 + seed),
+                            fresh(make_partner, 20 + seed))
+                case = (partner, horizon, seed)
+                (pi, phi), (pi_ref, phi_ref) = pair(), pair()
+                h, h_ref = History(), History()
+                pays = simulate_payoffs(GAME, pi, phi, horizon, h)
+                ref = _reference_simulate(GAME, pi_ref, phi_ref, horizon, h_ref)
+                assert pays.tobytes() == ref.tobytes(), case
+                assert simulate_payoffs(GAME, *pair(), horizon).tobytes() == ref.tobytes()
+                assert (h.alice, h.bob) == (h_ref.alice, h_ref.bob), case
+                assert all(type(x) is int for x in h.alice + h.bob)
+                assert (pi._pos, phi._pos) == (pi_ref._pos, phi_ref._pos) == (horizon, horizon)
+                # both pairs play on alike: each partner's stream is where it should be
+                h, h_ref = History(), History()
+                _reference_simulate(GAME, pi, phi, 50, h)
+                _reference_simulate(GAME, pi_ref, phi_ref, 50, h_ref)
+                assert (h.alice, h.bob) == (h_ref.alice, h_ref.bob), case
+
+
+class _CountingUniform(UniformPartner):
+    decides = 0
+
+    def decide(self):
+        self.decides += 1
+        return super().decide()
+
+
+def test_simulate_payoffs_stops_stepping_once_the_learner_is_absorbed():
+    # stage 0, then one poll per block while a full block remains
+    for horizon, stepped in ((_POLL_BLOCK, _POLL_BLOCK), (_POLL_BLOCK + 1, 1), (5000, 1)):
+        phi = _CountingUniform(N, 0)
+        simulate_payoffs(GAME, FixedAction(1, N), phi, horizon)
+        assert phi.decides == stepped and phi._pos == horizon
+    # ETC with T = 130 is first seen absorbed at the poll after stage 192
+    phi = _CountingUniform(N, 0)
+    simulate_payoffs(GAME, ExploreThenCommit(GAME, EXPERTS, 130), phi, 5000)
+    assert phi.decides == 1 + 3 * _POLL_BLOCK and phi._pos == 5000
+
+
+def test_simulate_payoffs_fast_path_range_checks_the_partners_answer():
+    # five partner actions in a three-column game: the first 3 or 4 fails
+    spec = SwitchingSpec(10**6, 0, 5)
+    stages = []
+    for seed in range(10):
+        errors = []
+        for run in (simulate_payoffs, _reference_simulate):
+            with pytest.raises(ContractViolation, match="bob strategy 'switching'") as err:
+                run(GAME, FixedAction(1, N), SwitchingPartner(spec, seed), 1000, History())
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        stages.append(int(errors[0].rsplit(" ", 1)[1]))
+    assert max(stages) > 0  # some first bad action falls in the filled part
+
+
 def test_simulate_payoffs_appends_to_history():
     g = coordination_game(3)
     h = History([(2, 2)])
@@ -185,16 +293,16 @@ def test_commit_stats_early_exit_matches_the_full_loop_for_etc():
     # lands right after the last exploration stage, so the commit stage is
     # the first one skipped
     new_action_at_boundary = 0
-    for T in range(3, 3 + 2 * _COMMIT_BLOCK + 2):
+    for T in range(3, 3 + 2 * _POLL_BLOCK + 2):
         # a horizon of T ends right at the commit
         _commit_both(lambda s=None, T=T: ExploreThenCommit(g, experts, T, s), T)
         finals = _commit_both(lambda s=None, T=T: ExploreThenCommit(g, experts, T, s), T + 70)
         last_explored = experts.actions[-1]
-        if T % _COMMIT_BLOCK == 1:
+        if T % _POLL_BLOCK == 1:
             new_action_at_boundary += sum(f != last_explored for f in finals)
     assert new_action_at_boundary > 0
     # horizons shorter than T, than the stages before the second poll, and zero
-    for horizon in (0, 1, 2, 10, _COMMIT_BLOCK + 1, 99):
+    for horizon in (0, 1, 2, 10, _POLL_BLOCK + 1, 99):
         _commit_both(lambda s=None: ExploreThenCommit(g, experts, 100, s), horizon)
 
 
@@ -222,7 +330,7 @@ def test_commit_stats_stops_playing_once_the_learner_is_absorbed():
 
     commit_stats(g, lambda s=None: ExploreThenCommit(g, ExpertSet.fixed_actions(3), 9, s),
                  uniform, 3, 5000, 0, "t")
-    assert all(p._pos <= 1 + _COMMIT_BLOCK for p in partners)
+    assert all(p._pos <= 1 + _POLL_BLOCK for p in partners)
 
 
 def test_commit_stats_checks_both_players_actions():

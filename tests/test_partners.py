@@ -31,6 +31,7 @@ from repeated_games.partners import (
     SwitchingPartner,
     SwitchingSpec,
     UniformPartner,
+    _BlockInts,
     _smallest_sigma,
     theorem1_adversary,
 )
@@ -63,10 +64,11 @@ def test_grim_probs_are_point_masses():
 
 
 def test_grim_reset():
+    # the library restarts a strategy by building a fresh instance
     phi = GrimTrigger(GRIM)
     phi.observe(1, 0)
     assert phi._triggered
-    phi.reset()
+    phi = GrimTrigger(GRIM)
     assert not phi._triggered and phi.decide() == 0
 
 
@@ -76,6 +78,28 @@ def test_uniform_partner_distribution():
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.allclose(freq, 1 / 3, atol=0.03)
     assert phi.probs().tolist() == [1 / 3] * 3
+
+
+def test_block_ints_take_equals_single_draws():
+    seed, n = 3, 5
+    for offset in (0, 1, 300, 511, 512, 513):
+        ref = _BlockInts(np.random.default_rng(seed), n)
+        calls = [ref() for _ in range(offset + 1500 + 513)]
+        for k in range(1501):
+            draw = _BlockInts(np.random.default_rng(seed), n)
+            for _ in range(offset):
+                draw()
+            got = draw.take(k)
+            assert got.dtype == np.int64 and got.tolist() == calls[offset:offset + k]
+            # the stream continues where k calls would have left it
+            assert [draw() for _ in range(513)] == calls[offset + k:offset + k + 513]
+    # takes in a row, and calls between them
+    draw = _BlockInts(np.random.default_rng(seed), n)
+    got = []
+    for k in (0, 7, 600, 0, 1, 1024, 3):
+        got += draw.take(k).tolist()
+        got.append(draw())
+    assert got == calls[:len(got)]
 
 
 def test_stationary_partner_matches_probs():
@@ -122,8 +146,7 @@ def test_fictitious_play_is_deterministic_and_resettable():
     assert fp.deterministic
     fp.observe(2, 0)
     assert fp.decide() == 2
-    fp.reset()
-    assert fp.decide() == 0
+    assert FictitiousPlayPartner(g).decide() == 0
 
 
 def test_random_choice_strategy_seeded_choice():
