@@ -224,7 +224,10 @@ class Strategy:
         ``decide()`` with ``observe(a, ·)`` between them would, but observes
         nothing itself: the caller follows it with ``observe_many``. None,
         the default, draws nothing and is always safe. The stage loop asks
-        once the learner is absorbed at ``a``.
+        once the learner is absorbed at ``a``. Fixed, uniform, stationary,
+        grim-trigger, switching and fictitious-play strategies answer, and
+        so does a drawn mixture through its member; the finite-state machines
+        and the predictive exploiter return None.
         """
         return None
 
@@ -260,14 +263,18 @@ class Strategy:
         return c
 
     def _sync(self, history: History) -> None:
-        n = len(history)
-        if n < self._pos:
+        """Observe the stages of ``history`` past the ones already observed.
+
+        The stages go through ``observe_many`` in one call, so a replay takes
+        whatever bulk path the strategy has.
+        """
+        pos, n = self._pos, len(history)
+        if n < pos:
             raise ContractViolation(
                 f"{self.name}: history shorter than already-observed prefix; "
                 "replay it on a fresh instance"
             )
-        for i in range(self._pos, n):
-            self.observe(history.alice[i], history.bob[i])
+        self.observe_many(history.alice[pos:n], history.bob[pos:n])
 
     def action_distribution(self, history: History) -> np.ndarray:
         self._sync(history)
@@ -330,9 +337,12 @@ def simulate_payoffs(
     step: ``a`` and the whole answer array are range-checked (the error
     names the first bad stage, as the loop would), the payoffs are read from
     ``game.payoff[a]`` (the same doubles the loop reads), and both
-    strategies take the stages through ``observe_many``. A partner that
-    cannot say (None) plays the rest in one block. Short remainders are
-    never polled: below one block the per-stage loop is as fast.
+    strategies take the stages through ``observe_many``. Fixed, uniform,
+    stationary, grim-trigger, switching and fictitious-play partners (and a
+    drawn mixture of them) answer; a partner that cannot say (None), such as
+    a finite-state machine or the predictive exploiter, plays the rest in
+    one block. Short remainders are never polled: below one block the
+    per-stage loop is as fast.
     """
     pay = game._payoff_rows
     rows, cols = game.rows, game.cols

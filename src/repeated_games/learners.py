@@ -406,9 +406,10 @@ class BernoulliSwitcher(Strategy):
         return point_mass(self.n_actions, self.decide())
 
     def observe(self, a, b):
-        self._pos += 1
+        # a replayed stage was never decided: decide it at its own stage
         if self._pending is None:
             self.decide()
+        self._pos += 1
         self._current = self._pending
         self._pending = None
 

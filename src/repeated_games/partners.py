@@ -262,6 +262,28 @@ class FictitiousPlayPartner(Strategy):
         scores[0] += row[0]
         self._current = arg
 
+    def _scores_after(self, a: int, k: int) -> np.ndarray:
+        """Rows 0..k: the scores after that many more stages at which Alice
+        plays ``a``, summed in order with the same additions as ``observe``."""
+        steps = np.empty((k + 1, self.game.cols))
+        steps[0] = self._scores
+        steps[1:] = self._rows[a]
+        return np.add.accumulate(steps, axis=0)
+
+    def respond(self, a, n):
+        # stage i plays the best score after i more stages of ``a`` (stage 0:
+        # ``_current``); argmax keeps the lowest index on ties, as observe does
+        return self._scores_after(a, n)[:n].argmax(axis=1)
+
+    def observe_many(self, alice, bob):
+        if not alice or alice.count(alice[0]) < len(alice):
+            super().observe_many(alice, bob)
+            return
+        scores = self._scores_after(alice[0], len(alice))[-1]
+        self._pos += len(alice)
+        self._scores = scores.tolist()
+        self._current = int(scores.argmax())
+
 
 class StationaryPartner(Strategy):
     """History-independent mixed strategy (useful as a flexible baseline)."""
@@ -292,6 +314,16 @@ class StationaryPartner(Strategy):
 
     def observe(self, a, b):
         self._pos += 1
+
+    def respond(self, a, n):
+        if self.deterministic:
+            return np.full(n, np.argmax(self._probs))
+        # decide()'s scan in one step: the first j with u < cum[j], else the last
+        u = self._rand.random(n)
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), self.n - 1)
+
+    def observe_many(self, alice, bob):
+        self._pos += len(alice)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 tests."""
 
 from repeated_games import learners, machines, partners
-from repeated_games.core import Strategy, coordination_game
+from repeated_games.core import Game, Strategy, coordination_game
 from repeated_games.learners import (
     BernoulliSwitcher,
     ExpertSet,
@@ -31,6 +31,8 @@ N = 3
 GAME = coordination_game(N)
 EXPERTS = ExpertSet.fixed_actions(N)
 T = 6  # exploration length of the ETC cases
+# non-dyadic payoffs: fictitious-play scores tie and round as they are summed
+FINE_GAME = Game(N, N, [[0.1, 0.3, 0.2], [0.3, 0.1, 0.2], [0.2, 0.2, 0.2]], (0.0, 1.0))
 
 
 def mixed(p):
@@ -57,11 +59,16 @@ ZOO = {
     "periodic": (PeriodicSwitcher, "alice", lambda s: PeriodicSwitcher(N, 4, s)),
     "bernoulli": (BernoulliSwitcher, "alice", lambda s: BernoulliSwitcher(N, 0.3, s)),
     "uniform": (UniformPartner, "bob", lambda s: UniformPartner(N, s)),
+    "uniform-1": (UniformPartner, "bob", lambda s: UniformPartner(1, s)),
     "grim": (GrimTrigger, "bob", lambda s: GrimTrigger(GrimTriggerSpec(0, 0, 2, N), s)),
     "switching": (SwitchingPartner, "bob",
                   lambda s: SwitchingPartner(SwitchingSpec(4, 1, N), s)),
     "fictitious": (FictitiousPlayPartner, "bob", lambda s: FictitiousPlayPartner(GAME, s)),
+    "fictitious-fine": (FictitiousPlayPartner, "bob",
+                        lambda s: FictitiousPlayPartner(FINE_GAME, s)),
     "stationary": (StationaryPartner, "bob", lambda s: StationaryPartner([0.2, 0.5, 0.3], s)),
+    "stationary-point": (StationaryPartner, "bob",
+                         lambda s: StationaryPartner([0.0, 1.0, 0.0], s)),
     "random-choice": (RandomChoiceStrategy, "bob", lambda s: RandomChoiceStrategy(
         [UniformPartner(N), StrategicExperts(GAME, EXPERTS, 0.3)], None, s)),
     "exploiter": (PredictiveExploiter, "bob", lambda s: PredictiveExploiter(

@@ -160,7 +160,7 @@ FAST_LEARNERS = {
     "coin-commit": ZOO["coin-commit"][2],
 }
 FAST_PARTNERS = {
-    "uniform-1": lambda s: UniformPartner(1, s),
+    "uniform-1": ZOO["uniform-1"][2],
     "uniform": ZOO["uniform"][2],
     # tau before and after each ETC commit, targets on and off the committed action
     **{f"switching-{tau}-{target}":
@@ -170,7 +170,10 @@ FAST_PARTNERS = {
     "grim-kept": lambda s: GrimTrigger(GrimTriggerSpec(1, 0, 2, N), s),
     "fixed": lambda s: FixedAction(2, N, s),
     "random-choice": ZOO["random-choice"][2],
-    "fictitious": ZOO["fictitious"][2],  # cannot respond: the loop plays on
+    "fictitious": ZOO["fictitious"][2],
+    "fictitious-fine": ZOO["fictitious-fine"][2],
+    "stationary": ZOO["stationary"][2],
+    "stationary-point": ZOO["stationary-point"][2],
 }
 FAST_HORIZONS = (0, 1, 2, _POLL_BLOCK, _POLL_BLOCK + 1, _POLL_BLOCK + 2, 2 * _POLL_BLOCK + 1,
                  1000)

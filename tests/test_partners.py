@@ -5,6 +5,7 @@ import pytest
 
 from repeated_games.core import (
     ContractViolation,
+    Game,
     coordination_game,
     derive_trial_seed,
     example1_game,
@@ -147,6 +148,27 @@ def test_fictitious_play_is_deterministic_and_resettable():
     fp.observe(2, 0)
     assert fp.decide() == 2
     assert FictitiousPlayPartner(g).decide() == 0
+
+
+def test_fictitious_play_bulk_sums_match_observe_on_fine_payoffs():
+    # entries 0.1 / 0.2 / 0.3 make scores tie and round as they are summed:
+    # respond and observe_many must add in observe's order to agree with it
+    rng = np.random.default_rng(0)
+    for case in range(500):
+        cols = int(rng.integers(2, 5))
+        game = Game(3, cols, rng.choice([0.1, 0.2, 0.3], size=(3, cols)), (0.0, 1.0))
+        bulk, stepped = FictitiousPlayPartner(game), FictitiousPlayPartner(game)
+        for a in rng.integers(0, 3, int(rng.integers(0, 20))).tolist():
+            bulk.observe(a, 0)
+            stepped.observe(a, 0)
+        a, n = int(rng.integers(0, 3)), int(rng.integers(0, 80))
+        bs = []
+        for _ in range(n):
+            bs.append(stepped.decide())
+            stepped.observe(a, bs[-1])
+        assert bulk.respond(a, n).tolist() == bs, case
+        bulk.observe_many([a] * n, bs)
+        assert (bulk._scores, bulk._current) == (stepped._scores, stepped._current), case
 
 
 def test_random_choice_strategy_seeded_choice():
