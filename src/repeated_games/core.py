@@ -25,8 +25,6 @@ __all__ = [
     "Trajectory",
     "coordination_game",
     "example1_game",
-    "point_mass",
-    "uniform_dist",
     "derive_trial_seed",
     "rollout",
     "simulate_payoffs",
@@ -79,9 +77,6 @@ class Game:
             raise ValueError("payoff entries outside declared payoff_range")
         object.__setattr__(self, "payoff", mat)
         object.__setattr__(self, "_payoff_rows", [list(map(float, row)) for row in mat])
-
-    def payoff_at(self, a: int, b: int) -> float:
-        return self._payoff_rows[a][b]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -138,50 +133,23 @@ class History:
         self.alice.append(a)
         self.bob.append(b)
 
-    def pair(self, i: int) -> tuple[int, int]:
-        return self.alice[i], self.bob[i]
-
     def pairs(self):
         return list(zip(self.alice, self.bob))
-
-    def last_alice_action(self) -> int:
-        """Alice's most recent action; undefined (raises) on the empty history."""
-        if not self.alice:
-            raise ValueError("last_alice_action is undefined on the empty history")
-        return self.alice[-1]
-
-    def copy(self) -> "History":
-        h = History()
-        h.alice = list(self.alice)
-        h.bob = list(self.bob)
-        return h
-
-
-def point_mass(n: int, i: int) -> np.ndarray:
-    if not 0 <= i < n:
-        raise ValueError(f"action {i} out of range for {n} actions")
-    p = np.zeros(n)
-    p[i] = 1.0
-    return p
-
-
-def uniform_dist(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
 
 
 class Strategy:
     """Behavioral strategy: finite history -> distribution over own actions.
 
-    Implementations are incremental for speed: the simulator calls
-    ``decide()`` for the current stage and ``observe(a, b)`` after each
-    stage. The history-based interface ``action_distribution(history)``
-    syncs an internal cursor against the supplied history, so a fresh
-    instance replayed over a recorded history reproduces its distributions
-    at every prefix (the replay contract).
+    The distribution is sampled, never computed: the simulator calls
+    ``decide()`` for the current stage's action and ``observe(a, b)`` after
+    each stage, and ``_sync(history)`` observes a recorded history. The
+    replay contract: a fresh instance on the live one's seed, synced onto
+    any prefix of live play, is at the same stage (``_pos``) and, once both
+    are reseeded onto one new stream, decides as the live instance does. A
+    learner also redraws in replay what it drew live, so its stream matches.
 
-    Output distributions depend only on the observed history and the
-    strategy's own seed; never on wall clock, trial index, or partner
-    identity.
+    Decisions depend only on the observed history and the strategy's own
+    stream; never on wall clock, trial index, or partner identity.
     """
 
     name = "strategy"
@@ -197,10 +165,6 @@ class Strategy:
         """Sample the action for the current stage."""
         raise NotImplementedError
 
-    def probs(self) -> np.ndarray:
-        """Distribution over own actions for the current stage."""
-        raise NotImplementedError
-
     def observe(self, a: int, b: int) -> None:
         """Record the realized joint action of the stage just played."""
         self._pos += 1
@@ -209,10 +173,10 @@ class Strategy:
         """The action played at every later stage, or None if not (yet) known.
 
         A strategy that returns an action ``a`` here promises that from now
-        on ``decide()`` returns ``a`` and ``probs()`` is the point mass at
-        ``a``, whatever history it observes and whatever its random stream
-        draws. Callers may then skip simulating it (the deviation oracle
-        does). The default, None, promises nothing and is always safe.
+        on ``decide()`` returns ``a``, whatever history it observes and
+        whatever its random stream draws. Callers may then skip simulating
+        it (the deviation oracle does). The default, None, promises nothing
+        and is always safe.
         """
         return None
 
@@ -276,10 +240,6 @@ class Strategy:
             )
         self.observe_many(history.alice[pos:n], history.bob[pos:n])
 
-    def action_distribution(self, history: History) -> np.ndarray:
-        self._sync(history)
-        return self.probs()
-
 
 @dataclass
 class Trajectory:
@@ -300,18 +260,6 @@ class Trajectory:
             for n, (a, b, u) in enumerate(zip(self.alice, self.bob, self.payoffs))
         ]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def from_jsonl(text: str, game: Game) -> "Trajectory":
-        a, b, u = [], [], []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            a.append(d["a"])
-            b.append(d["b"])
-            u.append(d["u"])
-        return Trajectory(game, np.asarray(a, int), np.asarray(b, int), np.asarray(u, float))
 
 
 _POLL_BLOCK = 64  # stages between absorbed() polls in both loops

@@ -126,6 +126,9 @@ def _partner_factory(spec: dict, game: Game, experts: ExpertSet, learner_factory
         return lambda seed=None: partners.UniformPartner(game.cols, seed)
     if kind == "stationary":
         probs = spec["probs"]
+        if len(probs) != game.cols:
+            raise ConfigError(f"stationary partner has {len(probs)} probabilities "
+                              f"for {game.cols} actions")
         return lambda seed=None: partners.StationaryPartner(probs, seed)
     if kind == "grim_trigger":
         gspec = partners.GrimTriggerSpec(
@@ -302,6 +305,7 @@ def run_scenario(
         config = ScenarioConfig(config)
     raw = config.raw
     t0 = time.perf_counter()
+    params = config.estimator_params(parallelism)  # budgets fail before any compute
 
     game = _build_game(raw.get("game", {"kind": "coordination", "n": 3}))
     experts = _build_experts(raw.get("experts"), game)
@@ -317,7 +321,6 @@ def run_scenario(
     )
     metric = raw.get("metric", {"kind": "value"})
     kind = metric.get("kind")
-    params = config.estimator_params(parallelism)
     seed = config.seed
 
     artifacts: dict[str, str] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Game, Strategy, derive_trial_seed, point_mass
+from .core import Game, Strategy, derive_trial_seed
 
 __all__ = [
     "FixedAction",
@@ -45,9 +45,6 @@ class FixedAction(Strategy):
     def decide(self) -> int:
         return self.action
 
-    def probs(self) -> np.ndarray:
-        return point_mass(self.n_actions, self.action)
-
     def observe(self, a, b):
         self._pos += 1
 
@@ -73,9 +70,6 @@ class ExpertSet:
 
     def __len__(self):
         return len(self.actions)
-
-    def strategies(self, n_actions: int):
-        return [FixedAction(a, n_actions) for a in self.actions]
 
 
 class ExploreThenCommit(Strategy):
@@ -110,9 +104,6 @@ class ExploreThenCommit(Strategy):
 
     def decide(self) -> int:
         return self.experts.actions[self._current_expert()]
-
-    def probs(self) -> np.ndarray:
-        return point_mass(self.game.rows, self.decide())
 
     def observe(self, a, b):
         if self._committed is None:
@@ -210,11 +201,6 @@ class StrategicExperts(Strategy):
             self._begin_phase()
         return self.experts.actions[self._current]
 
-    def probs(self) -> np.ndarray:
-        if self._remaining == 0:
-            self._begin_phase()
-        return point_mass(self.game.rows, self.experts.actions[self._current])
-
     def observe(self, a, b):
         self._pos += 1
         if self._remaining == 0:
@@ -239,15 +225,14 @@ class RandomChoiceStrategy(Strategy):
     """Picks one member by a single seeded draw at stage 0, then delegates
     every call to it.
 
-    ``probs`` defaults to uniform. The first member whose cumulative weight
-    exceeds the draw ``u ~ U[0, 1)`` is chosen. The draw is the first use of
-    the wrapper's stream, made by whichever of ``decide``, ``probs`` or
-    ``observe`` comes first. It binds the chosen member's ``decide``,
-    ``probs``, ``observe``, ``absorbed``, ``respond`` and ``observe_many``
-    onto the wrapper, so later calls go straight to the member; the
-    wrapper's ``_pos`` is the member's (0 before the draw). Used as a
-    partner mixture, as a coin-commit learner and, through ``MixedLearner``,
-    as a passive/active learner mixture.
+    The weights ``probs`` default to uniform; the first member whose
+    cumulative weight exceeds the draw ``u ~ U[0, 1)`` is chosen. The draw,
+    the first use of the wrapper's stream, comes at the first ``decide`` or
+    ``observe``. It binds the member's ``decide``, ``observe``, ``absorbed``,
+    ``respond`` and ``observe_many`` onto the wrapper, so later calls go
+    straight to the member; the wrapper's ``_pos`` is the member's (0 before
+    the draw). Used as a partner mixture, as a coin-commit learner and,
+    through ``MixedLearner``, as a passive/active learner mixture.
     """
 
     name = "random_choice"
@@ -282,9 +267,9 @@ class RandomChoiceStrategy(Strategy):
 
     def _bind(self, member: Strategy) -> None:
         self._chosen = member
-        self.decide, self.probs = member.decide, member.probs
-        self.observe, self.absorbed = member.observe, member.absorbed
-        self.respond, self.observe_many = member.respond, member.observe_many
+        self.decide, self.observe = member.decide, member.observe
+        self.absorbed, self.respond = member.absorbed, member.respond
+        self.observe_many = member.observe_many
 
     def _choose(self) -> Strategy:
         if self._chosen is None:
@@ -302,9 +287,6 @@ class RandomChoiceStrategy(Strategy):
     # used until the draw; _bind shadows them with the member's methods
     def decide(self) -> int:
         return self._choose().decide()
-
-    def probs(self) -> np.ndarray:
-        return self._choose().probs()
 
     def observe(self, a, b):
         self._choose().observe(a, b)
@@ -369,9 +351,6 @@ class PeriodicSwitcher(Strategy):
     def decide(self) -> int:
         return (self._pos // self.period) % self.n_actions
 
-    def probs(self) -> np.ndarray:
-        return point_mass(self.n_actions, self.decide())
-
     def observe(self, a, b):
         self._pos += 1
 
@@ -401,9 +380,6 @@ class BernoulliSwitcher(Strategy):
             else:
                 self._pending = self._current
         return self._pending
-
-    def probs(self) -> np.ndarray:
-        return point_mass(self.n_actions, self.decide())
 
     def observe(self, a, b):
         # a replayed stage was never decided: decide it at its own stage

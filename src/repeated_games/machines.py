@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 
-from .core import Game, History, Strategy, point_mass
+from .core import Game, Strategy
 
 __all__ = [
     "FSMStrategy",
@@ -120,9 +119,6 @@ class FSMBehavioral(Strategy):
 
     def decide(self) -> int:
         return self.machine.output[self._state]
-
-    def probs(self) -> np.ndarray:
-        return point_mass(self.n_own_actions, self.decide())
 
     def observe(self, a, b):
         self._pos += 1

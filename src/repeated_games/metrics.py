@@ -61,6 +61,12 @@ class EstimatorParams:
     parallelism: int = 1
     expert_trials: int | None = None  # lighter budget for near-deterministic arms
 
+    def __post_init__(self):
+        for name in ("trials", "horizon", "expert_trials"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"estimation {name} must be >= 1")
+
     def resolved_tail(self) -> int:
         return self.tail_window if self.tail_window is not None else max(1, self.horizon // 4)
 
@@ -606,9 +612,11 @@ def bound_table(N: int, delta, gamma=None) -> BoundTable:
     """Exact-arithmetic bound calculators.
 
     passive_bound = (N-2)/N - gamma - delta, active_bound with the simplified
-    (N-1)/N term, gamma_star the crossover where the two (simplified) bounds
-    meet, and theorem1_bound = [(N-2)/N - delta]^2 / 2. gamma defaults to
-    gamma_star.
+    (N-1)/N term, and theorem1_bound = [(N-2)/N - delta]^2 / 2. gamma_star
+    is where passive_bound meets gamma * ((N-2)/N - delta), the active bound
+    ``theorem1_adversary`` branches on; it is not where the two table bounds
+    meet (N = 5, delta = 1/10 gives passive 1/6 and active 7/30 at
+    gamma_star = 1/3). gamma defaults to gamma_star.
     """
     if N < 3:
         raise ValueError("bound table requires N >= 3")

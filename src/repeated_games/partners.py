@@ -14,25 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Game,
-    Strategy,
-    commit_stats,
-    derive_trial_seed,
-    point_mass,
-    uniform_dist,
-)
+from .core import Game, Strategy, commit_stats, derive_trial_seed
 from .metrics import _commit_tau, _convergence
 
 __all__ = [
     "GrimTriggerSpec",
     "SwitchingSpec",
     "OracleParams",
+    "GammaEstimateParams",
     "theorem1_adversary",
     "UniformPartner",
     "GrimTrigger",
     "SwitchingPartner",
     "FictitiousPlayPartner",
+    "StationaryPartner",
     "PredictiveExploiter",
 ]
 
@@ -100,9 +95,6 @@ class UniformPartner(Strategy):
             return 0
         return self._draw()
 
-    def probs(self) -> np.ndarray:
-        return uniform_dist(self.n)
-
     def observe(self, a, b):
         self._pos += 1
 
@@ -136,9 +128,6 @@ class GrimTrigger(Strategy):
 
     def decide(self) -> int:
         return self.spec.punish_action if self._triggered else self.spec.cooperate_action
-
-    def probs(self) -> np.ndarray:
-        return point_mass(self.spec.n_bob_actions, self.decide())
 
     def observe(self, a, b):
         self._pos += 1
@@ -197,11 +186,6 @@ class SwitchingPartner(Strategy):
             return self.spec.target_action
         return self._draw()
 
-    def probs(self) -> np.ndarray:
-        if self._mirroring():
-            return point_mass(self.spec.n_actions, self.spec.target_action)
-        return uniform_dist(self.spec.n_actions)
-
     def observe(self, a, b):
         self._pos += 1
         self._last_alice = a
@@ -246,9 +230,6 @@ class FictitiousPlayPartner(Strategy):
     def decide(self) -> int:
         return self._current
 
-    def probs(self) -> np.ndarray:
-        return point_mass(self.game.cols, self._current)
-
     def observe(self, a, b):
         self._pos += 1
         scores = self._scores
@@ -291,9 +272,14 @@ class StationaryPartner(Strategy):
     name = "stationary"
 
     def __init__(self, probs, seed=None):
-        super().__init__(seed)
         p = np.asarray(probs, dtype=float)
-        p = p / p.sum()
+        total = p.sum()
+        # a nan or infinite entry makes the sum nan or infinite
+        if p.ndim != 1 or not 0.0 < total < np.inf or p.min() < 0.0:
+            raise ValueError("stationary probabilities must be finite, nonnegative "
+                             f"weights with a positive sum, got {probs!r}")
+        super().__init__(seed)
+        p = p / total
         self._probs = p
         self.n = len(p)
         self._cum = np.cumsum(p).tolist()
@@ -308,9 +294,6 @@ class StationaryPartner(Strategy):
             if u < c:
                 return j
         return self.n - 1
-
-    def probs(self) -> np.ndarray:
-        return self._probs.copy()
 
     def observe(self, a, b):
         self._pos += 1
@@ -422,7 +405,6 @@ class ExploiterState:
     sigma: int = 0
     delta_i: float = 0.0
     capped: bool = False
-    learner_action: int | None = None
 
 
 class PredictiveExploiter(Strategy):
@@ -520,15 +502,10 @@ class PredictiveExploiter(Strategy):
             return self._draw()
         return self._last_alice
 
-    def probs(self) -> np.ndarray:
+    def observe(self, a, b):
+        # a replayed stage was never decided: open its interval at its own stage
         if not self._sigma_ready:
             self._open_interval()
-        st = self._state
-        if st.capped or self._pos < st.interval_start_stage + st.sigma or self._last_alice is None:
-            return uniform_dist(self.game.cols)
-        return point_mass(self.game.cols, self._last_alice)
-
-    def observe(self, a, b):
         self._pos += 1
         if self._pool:
             self._pending.append((a, b))

@@ -11,7 +11,6 @@ from repeated_games.core import (
     ContractViolation,
     Game,
     History,
-    Trajectory,
     commit_stats,
     coordination_game,
     derive_trial_seed,
@@ -75,16 +74,11 @@ def test_game_json_round_trip():
 def test_history_append_and_copy():
     h = History([(0, 1), (1, 2)])
     assert len(h) == 2
-    assert h.pair(1) == (1, 2)
-    assert h.last_alice_action() == 1
-    h2 = h.copy()
+    assert (h.alice[1], h.bob[1]) == (1, 2)
+    h2 = History(h.pairs())
     h2.append(0, 0)
     assert len(h) == 2 and len(h2) == 3
-
-
-def test_history_empty_last_action_raises():
-    with pytest.raises(ValueError):
-        History().last_alice_action()
+    assert h.pairs() == [(0, 1), (1, 2)] and h2.pairs() == [(0, 1), (1, 2), (0, 0)]
 
 
 def test_derive_trial_seed_is_stable_and_distinct():
@@ -243,8 +237,8 @@ def test_simulate_payoffs_appends_to_history():
     g = coordination_game(3)
     h = History([(2, 2)])
     pays = simulate_payoffs(g, UniformPartner(3, 5), UniformPartner(3, 6), 50, h)
-    assert len(h) == 51 and h.pair(0) == (2, 2)
-    assert [g.payoff_at(a, b) for a, b in h.pairs()[1:]] == pays.tolist()
+    assert len(h) == 51 and (h.alice[0], h.bob[0]) == (2, 2)
+    assert [g.payoff[a, b] for a, b in h.pairs()[1:]] == pays.tolist()
     t = rollout(g, UniformPartner(3, 5), UniformPartner(3, 6), 50)
     assert t.alice.dtype == np.int64
     assert t.alice.tolist() == h.alice[1:] and t.bob.tolist() == h.bob[1:]
@@ -358,9 +352,11 @@ def test_trajectory_jsonl_round_trip():
     assert len(lines) == 10
     rec = json.loads(lines[0])
     assert set(rec) == {"n", "a", "b", "u"}
-    t2 = Trajectory.from_jsonl(t.to_jsonl(), g)
-    assert np.array_equal(t.alice, t2.alice)
-    assert np.array_equal(t.payoffs, t2.payoffs)
+    recs = [json.loads(line) for line in lines]
+    assert [r["n"] for r in recs] == list(range(10))
+    assert [r["a"] for r in recs] == t.alice.tolist()
+    assert [r["b"] for r in recs] == t.bob.tolist()
+    assert [r["u"] for r in recs] == t.payoffs.tolist()
 
 
 def test_replay_contract_sync_rejects_rewind():

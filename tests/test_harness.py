@@ -269,6 +269,30 @@ def test_cli_rejects_empty_mixture(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_cli_rejects_empty_estimation_budgets(tmp_path, capsys):
+    for est, message in (({"trials": 0}, "trials must be >= 1"),
+                         ({"horizon": 0}, "horizon must be >= 1"),
+                         ({"expert_trials": 0}, "expert_trials must be >= 1")):
+        out = tmp_path / "out"
+        raw = _cfg(estimation={"trials": 30, "horizon": 400, **est})
+        rc = main(["simulate", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+def test_stationary_partner_config_is_checked(tmp_path, capsys):
+    # one probability per column of the game
+    with pytest.raises(ConfigError, match="4 probabilities for 3 actions"):
+        run_scenario(_cfg(partner={"kind": "stationary", "probs": [0.25] * 4}), tmp_path)
+    out = tmp_path / "out"
+    raw = _cfg(partner={"kind": "stationary", "probs": [-1, 1, 1]})
+    rc = main(["simulate", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(out)])
+    assert rc == 2
+    assert "stationary probabilities must be" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_regret_csv_is_summary_head(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, _cfg(metric={"kind": "adaptive_regret"}))
     out = tmp_path / "out"

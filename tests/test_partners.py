@@ -57,13 +57,6 @@ def test_grim_absorption_full_enumeration():
             assert phi.decide() == (2 if triggered else 0)
 
 
-def test_grim_probs_are_point_masses():
-    phi = GrimTrigger(GRIM)
-    assert phi.probs().tolist() == [1.0, 0.0, 0.0]
-    phi.observe(1, 0)
-    assert phi.probs().tolist() == [0.0, 0.0, 1.0]
-
-
 def test_grim_reset():
     # the library restarts a strategy by building a fresh instance
     phi = GrimTrigger(GRIM)
@@ -78,7 +71,6 @@ def test_uniform_partner_distribution():
     draws = np.array([phi.decide() for _ in range(6000)])
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.allclose(freq, 1 / 3, atol=0.03)
-    assert phi.probs().tolist() == [1 / 3] * 3
 
 
 def test_block_ints_take_equals_single_draws():
@@ -110,6 +102,15 @@ def test_stationary_partner_matches_probs():
     assert np.allclose(freq, [0.7, 0.2, 0.1], atol=0.03)
 
 
+def test_stationary_partner_rejects_bad_probabilities():
+    nan, inf = float("nan"), float("inf")
+    for probs in ([], [-1, 1, 1], [0.5, nan, 0.5], [0, 0, 0], [1, inf, 0], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="stationary probabilities"):
+            StationaryPartner(probs, seed=0)
+    # weights need not sum to 1: they are normalised
+    assert StationaryPartner([0, 2, 0], seed=0).decide() == 1
+
+
 def test_switching_partner_mirrors_target_after_tau():
     spec = SwitchingSpec(tau=5, target_action=1, n_actions=3)
     phi = SwitchingPartner(spec, seed=2)
@@ -118,9 +119,16 @@ def test_switching_partner_mirrors_target_after_tau():
         if n >= 5:
             assert b == 1  # last Alice action was always the target
         phi.observe(1, b)
-    # a non-target last action sends it back to uniform sampling
+    # a non-target last action sends it back to uniform sampling: from the
+    # next stage on it plays its stream's uniform draws, past the five drawn
+    # at stages 0-4
     phi.observe(0, phi.decide())
-    assert phi.probs().tolist() == [1 / 3] * 3
+    draws = []
+    for _ in range(60):
+        draws.append(phi.decide())
+        phi.observe(0, draws[-1])
+    uniform = _BlockInts(np.random.default_rng(2), 3)
+    assert draws == [uniform() for _ in range(65)][5:]
 
 
 def test_switching_partner_tau_zero_mirrors_immediately():
