@@ -221,6 +221,42 @@ def test_deepcopy_of_a_drawn_mixture_is_bound_to_its_own_member(name):
                                                          UniformPartner(3, 4), 30)
 
 
+def _member_index(m):
+    return None if m._chosen is None else m._strategies.index(m._chosen)
+
+
+def _next_actions(m, seed, stages=12):
+    """A copy of ``m``'s next ``stages`` actions after reseeding it with
+    ``seed``, facing a uniform partner on a fixed stream."""
+    c = copy.deepcopy(m)
+    c.reseed(seed)
+    return _drive(c, UniformPartner(3, 77), stages)
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_mixture_replay_gives_the_live_distribution_at_every_prefix(name):
+    """A fresh mixture fed a prefix stands where the live one stood: the
+    same stage, the same drawn member, and on common streams the same next
+    decisions, which is the same next-action distribution."""
+    for seed in range(4):
+        live, partner = MIXTURES[name](seed), UniformPartner(3, 10 + seed)
+        h, snapshots = History(), []
+        for _ in range(60):
+            snapshots.append(copy.deepcopy(live))
+            a, b = live.decide(), partner.decide()
+            live.observe(a, b)
+            partner.observe(a, b)
+            h.append(a, b)
+        snapshots.append(live)
+        for k, expected in enumerate(snapshots):
+            fresh = MIXTURES[name](seed)
+            fresh._sync(History(zip(h.alice[:k], h.bob[:k])))
+            assert fresh._pos == expected._pos == k
+            assert _member_index(fresh) == _member_index(expected)
+            for common in (1, 2):
+                assert _next_actions(fresh, common) == _next_actions(expected, common)
+
+
 def test_simulate_payoffs_on_fresh_mixtures_matches_per_stage_lookups():
     for seed in range(6):
         pi, phi = _mixed(seed), _choice(100 + seed)
@@ -257,3 +293,24 @@ def test_bernoulli_switcher_decide_observe_consistency():
 def test_fixed_action_validation():
     with pytest.raises(ValueError):
         FixedAction(3, 3)
+
+
+def test_replay_contract_strategic_experts():
+    """Feeding the realized prefix to a fresh same-seeded instance reproduces
+    the live state and the continuation."""
+    g = coordination_game(3)
+    live = StrategicExperts(g, ExpertSet.fixed_actions(3), 0.2, None, seed=21)
+    h = History()
+    rng = np.random.default_rng(0)
+    for _ in range(137):
+        a = live.decide()
+        b = int(rng.integers(0, 3))
+        live.observe(a, b)
+        h.append(a, b)
+    fresh = StrategicExperts(g, ExpertSet.fixed_actions(3), 0.2, None, seed=21)
+    fresh._sync(h)
+    for _ in range(50):
+        assert fresh.decide() == live.decide()
+        a = live.decide()
+        live.observe(a, 1)
+        fresh.observe(a, 1)
